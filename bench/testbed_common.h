@@ -1,6 +1,7 @@
 // Shared driver for the testbed figures (12 and 13).
 #pragma once
 
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -108,7 +109,7 @@ inline void run_testbed_figure(const char* fig, std::size_t nodes) {
     flash_vs_spider_delay += 1 - flash.delay.mean() / spider.delay.mean();
     flash_vs_spider_mice_delay +=
         1 - flash.mice_delay.mean() / spider.mice_delay.mean();
-    flash_vs_spider_ratio += spider.ratio.mean() - flash.ratio.mean();
+    flash_vs_spider_ratio += flash.ratio.mean() - spider.ratio.mean();
     flash_vs_sp_ratio += flash.ratio.mean() - sp.ratio.mean();
   }
   const double n = static_cast<double>(ranges.size());
@@ -127,20 +128,20 @@ inline void run_testbed_figure(const char* fig, std::size_t nodes) {
   const char* paper_sp_ratio = nodes <= 50 ? "+36.3%" : "+14.8%";
   const char* paper_delay = nodes <= 50 ? "19.4% lower" : "19.2% lower";
   const char* paper_mice = nodes <= 50 ? "26.4% lower" : "26% lower";
-  // Signs prepended via append, not `const char* + std::string&&`, to dodge
-  // GCC 12's spurious -Wrestrict at -O3 (GCC PR105329).
-  std::string spider_gap = "-";
-  spider_gap += fmt_pct(flash_vs_spider_ratio / n);
-  std::string sp_gap = "+";
-  sp_gap += fmt_pct(flash_vs_sp_ratio / n);
+  const auto lower_or_higher = [](double reduction) {
+    return fmt_pct(std::abs(reduction)) +
+           (reduction >= 0 ? " lower" : " higher");
+  };
   claim("Flash success volume vs Spider (avg)", paper_volume,
         fmt_ratio(flash_vs_spider_volume / n));
-  claim("Flash success ratio vs Spider (avg gap)", paper_ratio, spider_gap);
-  claim("Flash success ratio vs SP (avg gap)", paper_sp_ratio, sp_gap);
+  claim("Flash success ratio vs Spider (avg gap)", paper_ratio,
+        fmt_signed_pct(flash_vs_spider_ratio / n));
+  claim("Flash success ratio vs SP (avg gap)", paper_sp_ratio,
+        fmt_signed_pct(flash_vs_sp_ratio / n));
   claim("Flash settled delay vs Spider", paper_delay,
-        fmt_pct(flash_vs_spider_delay / n) + " lower");
+        lower_or_higher(flash_vs_spider_delay / n));
   claim("Flash mice settled delay vs Spider", paper_mice,
-        fmt_pct(flash_vs_spider_mice_delay / n) + " lower");
+        lower_or_higher(flash_vs_spider_mice_delay / n));
 }
 
 }  // namespace flash::bench

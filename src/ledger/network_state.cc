@@ -232,7 +232,6 @@ std::optional<HoldId> NetworkState::place_hold() {
     if (e >= graph_->num_edges()) {
       throw std::out_of_range("hold: bad edge id");
     }
-    log_read(e);
     if (balance_[e] + kEps < amt) return std::nullopt;
   }
   const std::uint64_t slot = acquire_slot();
@@ -263,7 +262,6 @@ bool NetworkState::extend_hold(HoldId id, EdgeId e, Amount amount) {
   if (e >= graph_->num_edges()) {
     throw std::out_of_range("extend_hold: bad edge id");
   }
-  log_read(e);
   if (balance_[e] + kEps < amount) return false;
   log_write(e);
   balance_[e] = std::max<Amount>(0, balance_[e] - amount);
@@ -290,7 +288,6 @@ void NetworkState::commit_hop(HoldId id, std::size_t hop) {
   auto& [e, amt] = h.parts[hop];
   if (amt <= 0) throw std::logic_error("commit_hop: hop already settled");
   const EdgeId rev = graph_->reverse(e);
-  log_read(rev);  // credit is a read-modify-write
   log_write(rev);
   balance_[rev] += amt;
   amt = 0;
@@ -305,7 +302,6 @@ void NetworkState::abort_hop(HoldId id, std::size_t hop) {
   }
   auto& [e, amt] = h.parts[hop];
   if (amt <= 0) throw std::logic_error("abort_hop: hop already settled");
-  log_read(e);  // refund is a read-modify-write
   log_write(e);
   balance_[e] += amt;
   amt = 0;
@@ -356,14 +352,12 @@ NetworkState::CloseResolution NetworkState::resolve_holds_on_close(
         // output on-chain — the same reverse-direction credit commit_hop
         // would have made.
         const EdgeId rev = graph_->reverse(e);
-        log_read(rev);
         log_write(rev);
         balance_[rev] += amt;
         res.settled_amount += amt;
         ++res.settled_hops;
       } else {
         // No preimage: the HTLC output times out back to the sender side.
-        log_read(e);
         log_write(e);
         balance_[e] += amt;
         res.refunded_amount += amt;
@@ -435,7 +429,6 @@ void NetworkState::commit(HoldId id) {
   for (const auto& [e, amt] : h.parts) {
     if (amt <= 0) continue;  // already settled hop-wise
     const EdgeId rev = graph_->reverse(e);
-    log_read(rev);  // credit is a read-modify-write
     log_write(rev);
     balance_[rev] += amt;
   }
@@ -448,7 +441,6 @@ void NetworkState::abort(HoldId id) {
   HoldRecord& h = checked_active_record(id);
   for (const auto& [e, amt] : h.parts) {
     if (amt <= 0) continue;  // already settled hop-wise
-    log_read(e);  // refund is a read-modify-write
     log_write(e);
     balance_[e] += amt;
   }

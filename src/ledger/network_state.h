@@ -10,7 +10,6 @@
 // in-flight holds == total deposit, under every sequence of operations.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -102,36 +101,9 @@ class NetworkState {
   /// through it), so indexing is unchecked in Release; Debug/ASan builds
   /// keep the bounds assert. Edge ids come from the Graph the state was
   /// built over, so out-of-range ids are programming errors, not inputs.
-  /// The read-log branch costs one well-predicted compare on ledgers that
-  /// never enable it (everything but speculative worker mirrors).
   Amount balance(EdgeId e) const {
     assert(e < balance_.size());
-    if (read_log_enabled_) read_log_.push_back(e);
     return balance_[e];
-  }
-
-  // --- Relaxed shared access (free-order concurrent engine) ---------------
-  //
-  // The free-order engine lets worker threads write disjoint-stripe commits
-  // and read cross-stripe balances concurrently (mirror resyncs run without
-  // taking every stripe lock). Those accesses go through atomic_ref so the
-  // concurrent reads are not data races; values may be instantaneously
-  // stale, which the striped-commit revalidation tolerates by design.
-
-  /// Racy-but-not-UB balance read for concurrent phases.
-  Amount balance_relaxed(EdgeId e) const noexcept {
-    assert(e < balance_.size());
-    return std::atomic_ref<Amount>(const_cast<Amount&>(balance_[e]))
-        .load(std::memory_order_relaxed);
-  }
-
-  /// Balance store visible to concurrent balance_relaxed readers. Does NOT
-  /// re-base deposits and is NOT journaled (like mirror_balance, the caller
-  /// owns conservation; check_invariants verifies it after the join).
-  void store_balance_relaxed(EdgeId e, Amount v) noexcept {
-    assert(e < balance_.size());
-    std::atomic_ref<Amount>(const_cast<Amount&>(balance_[e]))
-        .store(v, std::memory_order_relaxed);
   }
 
   /// Total deposit of the channel containing e (both directions + holds).
@@ -321,43 +293,13 @@ class NetworkState {
   // are made by the ledger's owner, who already knows what it wrote.
 
   /// Starts journaling payment-driven balance changes (off by default, so
-  /// ledgers that never sync pay nothing). With `with_pre_images`, each
-  /// entry also records the balance BEFORE the modification (parallel
-  /// vector change_log_pre()), which is what speculative rollback needs to
-  /// restore a mirror to its pre-payment state exactly.
-  void enable_change_log(bool with_pre_images = false) noexcept {
-    change_log_enabled_ = true;
-    pre_image_log_enabled_ = with_pre_images;
-  }
+  /// ledgers that never sync pay nothing).
+  void enable_change_log() noexcept { change_log_enabled_ = true; }
 
   /// Edges modified by hold/commit/abort since the last clear (may repeat).
   std::span<const EdgeId> change_log() const noexcept { return change_log_; }
 
-  /// Pre-modification balances, parallel to change_log(); empty unless
-  /// enable_change_log(true).
-  std::span<const Amount> change_log_pre() const noexcept {
-    return change_log_pre_;
-  }
-
-  void clear_change_log() noexcept {
-    change_log_.clear();
-    change_log_pre_.clear();
-  }
-
-  // --- Read log -----------------------------------------------------------
-  //
-  // When enabled, every balance read — balance() plus the internal reads of
-  // the two-phase machinery (hold feasibility, commit/abort refund
-  // read-modify-writes) — appends its edge id. The speculative replay
-  // engine (sim/concurrent.cc) validates an optimistically-routed payment
-  // by checking that nothing it READ has since been overwritten; funneling
-  // the RMW reads through the same log makes the read set a superset of the
-  // write set, so one membership check covers write-write conflicts too.
-  // Entries repeat freely; deduplication is the reader's business.
-
-  void enable_read_log() noexcept { read_log_enabled_ = true; }
-  std::span<const EdgeId> read_log() const noexcept { return read_log_; }
-  void clear_read_log() noexcept { read_log_.clear(); }
+  void clear_change_log() noexcept { change_log_.clear(); }
 
   /// Verifies the channel invariant for every channel (O(V+E+holds)).
   /// Returns false and sets `bad_channel` (optional) on violation.
@@ -414,18 +356,9 @@ class NetworkState {
   /// Retires a fully hop-settled record, recycling its slot.
   void retire_if_settled(HoldRecord& h, std::uint64_t slot);
 
-  /// Journals an imminent payment-driven write to e; must run BEFORE the
-  /// balance mutation so the pre-image variant records the old value.
+  /// Journals a payment-driven write to e.
   void log_write(EdgeId e) {
-    if (!change_log_enabled_) return;
-    change_log_.push_back(e);
-    if (pre_image_log_enabled_) change_log_pre_.push_back(balance_[e]);
-  }
-
-  /// Journals the internal balance reads of the two-phase machinery (see
-  /// the read-log section above).
-  void log_read(EdgeId e) const {
-    if (read_log_enabled_) read_log_.push_back(e);
+    if (change_log_enabled_) change_log_.push_back(e);
   }
 
   const Graph* graph_;
@@ -437,11 +370,7 @@ class NetworkState {
   std::size_t active_holds_ = 0;
   std::uint64_t probe_messages_ = 0;
   std::vector<EdgeId> change_log_;
-  std::vector<Amount> change_log_pre_;  // pre-images, parallel to change_log_
   bool change_log_enabled_ = false;
-  bool pre_image_log_enabled_ = false;
-  mutable std::vector<EdgeId> read_log_;  // balance() is const; log is not
-  bool read_log_enabled_ = false;
   std::vector<HoldId> payment_holds_buf_;  // AtomicPayment lease (above)
   bool payment_holds_leased_ = false;
   bool defer_commits_ = false;             // deferred settlement armed

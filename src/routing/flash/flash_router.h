@@ -92,24 +92,6 @@ class FlashRouter : public Router {
     rng_ = Rng(seed * 0x9e3779b9ULL + 7);
   }
 
-  /// Pins the mice-order shuffle (the router's only route-time randomness)
-  /// to the payment's logical index; same mixing as reseed so one payment
-  /// on a pinned router draws exactly like the first payment after reseed.
-  void begin_payment(std::uint64_t seed) override {
-    rng_ = Rng(seed * 0x9e3779b9ULL + 7);
-  }
-  /// The mice table holds the only balance-dependent route-time state
-  /// (dead-path replacement); it journals and restores itself. Requires
-  /// table_timeout == 0 (the scenario engine's only configuration): the
-  /// eviction clock is not journaled.
-  std::uint64_t speculation_mark() override { return table_.undo_mark(); }
-  void speculation_rollback(std::uint64_t mark) override {
-    table_.undo_rollback(mark);
-  }
-  void speculation_release(std::uint64_t mark) override {
-    table_.undo_release(mark);
-  }
-
   /// Classification rule: amount >= elephant_threshold is an elephant.
   bool is_elephant(Amount amount) const noexcept {
     return amount >= config_.elephant_threshold;

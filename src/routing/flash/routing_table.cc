@@ -62,9 +62,6 @@ const std::vector<Path>& MiceRoutingTable::lookup(NodeId sender,
     entry.spares.assign(paths.begin() + static_cast<long>(active),
                         paths.end());
     it = entries_.emplace(key, std::move(entry)).first;
-    if (undo_armed_) {
-      undo_log_.push_back({UndoRecord::Kind::kInserted, key, 0, 0, 0, {}});
-    }
     if (computed) *computed = true;
   } else if (computed) {
     *computed = false;
@@ -75,19 +72,12 @@ const std::vector<Path>& MiceRoutingTable::lookup(NodeId sender,
 
 bool MiceRoutingTable::replace_dead_path(NodeId sender, NodeId receiver,
                                          const Path& path) {
-  const auto key = pair_key(sender, receiver);
-  const auto it = entries_.find(key);
+  const auto it = entries_.find(pair_key(sender, receiver));
   if (it == entries_.end()) return false;
   Entry& entry = it->second;
   const auto pos = std::find(entry.active.begin(), entry.active.end(), path);
   if (pos == entry.active.end()) return false;
-  const auto active_pos =
-      static_cast<std::size_t>(pos - entry.active.begin());
   if (entry.next_spare < entry.spares.size()) {
-    if (undo_armed_) {
-      undo_log_.push_back({UndoRecord::Kind::kActivated, key, active_pos,
-                           entry.next_spare, entry.spares.size(), *pos});
-    }
     // O(1) pop-front: consume spares by index instead of erasing (the
     // spares vector is dropped wholesale once exhausted).
     *pos = std::move(entry.spares[entry.next_spare++]);
@@ -97,73 +87,14 @@ bool MiceRoutingTable::replace_dead_path(NodeId sender, NodeId receiver,
     }
     return true;
   }
-  const bool erase_entry =
-      config_.recompute_on_exhaustion && entry.active.size() == 1;
-  if (undo_armed_) {
-    undo_log_.push_back(
-        {erase_entry ? UndoRecord::Kind::kErased : UndoRecord::Kind::kShrunk,
-         key, active_pos, 0, 0, *pos});
-  }
   entry.active.erase(pos);
-  if (erase_entry) {
+  if (config_.recompute_on_exhaustion && entry.active.empty()) {
     // Every path this entry ever knew is dead. Under churn the topology
     // that produced them is gone too, so forget the entry: the next lookup
     // re-runs Yen on the (refreshed) graph rather than failing forever.
     entries_.erase(it);
   }
   return false;
-}
-
-std::uint64_t MiceRoutingTable::undo_mark() {
-  undo_armed_ = true;
-  return undo_base_ + undo_log_.size();
-}
-
-void MiceRoutingTable::undo_rollback(std::uint64_t mark) {
-  while (undo_base_ + undo_log_.size() > mark) {
-    UndoRecord rec = std::move(undo_log_.back());
-    undo_log_.pop_back();
-    switch (rec.kind) {
-      case UndoRecord::Kind::kInserted:
-        entries_.erase(rec.key);
-        break;
-      case UndoRecord::Kind::kActivated: {
-        Entry& entry = entries_.at(rec.key);
-        // If the activation exhausted (and cleared) the spares vector,
-        // re-grow it: slots below spare_pos were consumed husks before the
-        // clear and are never read again once next_spare is restored.
-        if (entry.spares.size() < rec.old_spare_count) {
-          entry.spares.resize(rec.old_spare_count);
-        }
-        entry.spares[rec.spare_pos] = std::move(entry.active[rec.active_pos]);
-        entry.active[rec.active_pos] = std::move(rec.dead_path);
-        entry.next_spare = rec.spare_pos;
-        break;
-      }
-      case UndoRecord::Kind::kShrunk: {
-        Entry& entry = entries_.at(rec.key);
-        entry.active.insert(
-            entry.active.begin() + static_cast<long>(rec.active_pos),
-            std::move(rec.dead_path));
-        break;
-      }
-      case UndoRecord::Kind::kErased: {
-        Entry entry;
-        entry.active.push_back(std::move(rec.dead_path));
-        entry.last_used = clock_;  // unobservable: timeout disabled
-        entries_.emplace(rec.key, std::move(entry));
-        break;
-      }
-    }
-  }
-}
-
-void MiceRoutingTable::undo_release(std::uint64_t mark) {
-  if (mark <= undo_base_) return;
-  const auto n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(undo_log_.size(), mark - undo_base_));
-  undo_log_.erase(undo_log_.begin(), undo_log_.begin() + static_cast<long>(n));
-  undo_base_ += n;
 }
 
 void MiceRoutingTable::clear() { entries_.clear(); }

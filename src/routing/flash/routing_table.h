@@ -86,28 +86,6 @@ class MiceRoutingTable {
   /// Total Yen invocations (path computations), an overhead metric.
   std::uint64_t computations() const noexcept { return computations_; }
 
-  // --- Speculative undo journal (concurrent replay engine) ----------------
-  //
-  // The replay engine (sim/concurrent.cc) routes payments optimistically
-  // and may need to un-route one whose ledger view turned out stale. While
-  // the journal is armed (first undo_mark call), the two table mutations a
-  // route can cause are recorded with enough context to restore the entry
-  // map exactly: replace_dead_path (balance-dependent — WHICH path dies
-  // depends on the ledger the route saw) and lookup's lazy Yen insert
-  // (pure topology, but journaled so that an erase-then-reinsert pair
-  // rolls back to the erased entry's exact prior state, not to a fresh
-  // recompute). The lookup clock is deliberately NOT journaled: it is
-  // unobservable while entry_timeout == 0, the only configuration the
-  // speculative engine supports.
-
-  /// Arms the journal and returns a token for the current state.
-  std::uint64_t undo_mark();
-  /// Restores the state captured at `mark` (undoes later mutations,
-  /// newest first). Records above `mark` are consumed.
-  void undo_rollback(std::uint64_t mark);
-  /// Declares mutations before `mark` permanent, freeing their records.
-  void undo_release(std::uint64_t mark);
-
  private:
   struct Entry {
     std::vector<Path> active;
@@ -116,30 +94,12 @@ class MiceRoutingTable {
     std::uint64_t last_used = 0;    // lookup clock value
   };
 
-  struct UndoRecord {
-    enum class Kind : std::uint8_t {
-      kInserted,   // lookup created the entry; undo erases it
-      kActivated,  // replace_dead_path consumed a spare; undo un-consumes
-      kShrunk,     // replace_dead_path erased an active path; undo reinserts
-      kErased,     // exhaustion dropped the whole entry; undo re-creates it
-    };
-    Kind kind;
-    std::uint64_t key;
-    std::size_t active_pos = 0;       // kActivated/kShrunk: index in active
-    std::size_t spare_pos = 0;        // kActivated: next_spare before
-    std::size_t old_spare_count = 0;  // kActivated: spares.size() before
-    Path dead_path;                   // the replaced/erased path
-  };
-
   const Graph* graph_;
   RoutingTableConfig config_;
   const unsigned char* open_mask_ = nullptr;  // per directed edge; borrowed
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::uint64_t clock_ = 0;
   std::uint64_t computations_ = 0;
-  std::vector<UndoRecord> undo_log_;
-  std::uint64_t undo_base_ = 0;  // marks count released prefix records
-  bool undo_armed_ = false;
 
   void evict_stale();
 };

@@ -86,30 +86,6 @@ class Router {
   /// routers. Lets a patched router match a freshly built one stream-for-
   /// stream (the scenario engine reseeds per (sender, view version)).
   virtual void reseed(std::uint64_t /*seed*/) {}
-
-  // --- Speculative routing (concurrent engine; see sim/concurrent.cc) ---
-  //
-  // The concurrent engine routes payments optimistically on worker threads
-  // and needs two guarantees from a router: (a) per-payment randomness can
-  // be pinned to the payment's logical stream index, so a route's outcome
-  // does not depend on which payments this router instance happened to
-  // serve before it; (b) a route can be *undone* — every balance-dependent
-  // internal mutation restored — when the speculation is discarded. Pure
-  // topology-derived caches (SP/Spider per-pair paths, Yen inserts) may
-  // persist across an undo: recomputing them yields identical values.
-  // Deterministic, cache-stable routers override nothing.
-
-  /// Pins the randomness of the NEXT route() call to `seed` (derived from
-  /// the payment's logical index). No-op for rng-free routers.
-  virtual void begin_payment(std::uint64_t /*seed*/) {}
-
-  /// Arms undo journaling and returns a token for the current
-  /// balance-dependent state.
-  virtual std::uint64_t speculation_mark() { return 0; }
-  /// Restores the state captured at `mark`, undoing every route() since.
-  virtual void speculation_rollback(std::uint64_t /*mark*/) {}
-  /// Declares routes up to `mark` permanent; their journal space is freed.
-  virtual void speculation_release(std::uint64_t /*mark*/) {}
 };
 
 }  // namespace flash

@@ -95,24 +95,6 @@ void validate(const ScenarioConfig& cfg) {
         "scenario: gossip.hop_delay must be >= 0 - set 0 for instant "
         "propagation");
   }
-  if (cfg.concurrency.stripes == 0) {
-    throw std::invalid_argument(
-        "scenario: concurrency.stripes must be >= 1 - leave the default 64 "
-        "unless tuning lock contention");
-  }
-  if (cfg.concurrency.execution == ScenarioExecution::kFreeOrder &&
-      (cfg.retry.max_retries > 0 || cfg.churn.close_rate > 0 ||
-       cfg.rebalance.interval > 0 || cfg.fault.active())) {
-    // Free-order has no event loop: retries, churn, rebalancing, and fault
-    // injection have no defined interleaving against out-of-order
-    // settlement.
-    throw std::invalid_argument(
-        "scenario: free-order execution has no event loop, so retries, "
-        "churn, rebalancing and fault injection have no defined "
-        "interleaving - set retry.max_retries = 0, churn.close_rate = 0, "
-        "rebalance.interval = 0 and leave fault inactive, or use "
-        "kSequential/kReplay execution");
-  }
   if (cfg.htlc.hop_latency < 0 || cfg.htlc.timelock_delta < 0 ||
       cfg.htlc.timelock_budget < 0 || cfg.htlc.holder_delay < 0) {
     throw std::invalid_argument(
@@ -130,14 +112,6 @@ void validate(const ScenarioConfig& cfg) {
         "scenario: htlc.timelock_budget needs timelock_delta > 0 to "
         "convert to a hop cap - set timelock_delta, or cap hops directly "
         "with FlashOptions::max_route_hops");
-  }
-  if (cfg.htlc.active() &&
-      cfg.concurrency.execution != ScenarioExecution::kSequential) {
-    // The concurrent engines' determinism arguments assume settlement
-    // happens inside the route step, never between events.
-    throw std::invalid_argument(
-        "scenario: the HTLC lifecycle requires sequential execution - set "
-        "concurrency.execution = kSequential");
   }
   const FaultPlan& f = cfg.fault;
   if (f.hub_outage_start < 0 || f.hub_outage_duration < 0) {
@@ -368,9 +342,6 @@ ScenarioEngine::ScenarioEngine(const Workload& workload, Scheme scheme,
   }
 }
 
-// ~ScenarioEngine lives in sim/concurrent.cc, where ConcurrentRuntime is
-// a complete type (unique_ptr member destruction).
-
 void ScenarioEngine::schedule(double time, EventType type, std::size_t a,
                               std::size_t b) {
   events_.push(Event{time, event_seq_++, type, a, b});
@@ -379,13 +350,6 @@ void ScenarioEngine::schedule(double time, EventType type, std::size_t a,
 ScenarioResult ScenarioEngine::run() {
   if (ran_) throw std::logic_error("ScenarioEngine: run() is single-use");
   ran_ = true;
-
-  if (cfg_.concurrency.execution == ScenarioExecution::kFreeOrder) {
-    return run_free_order();
-  }
-  if (cfg_.concurrency.execution == ScenarioExecution::kReplay) {
-    begin_replay();
-  }
 
   // Arrivals are staged LAZILY, one at a time: arrival i enters the heap
   // only when arrival i-1 is popped (arrivals are chronological, so the
@@ -432,7 +396,6 @@ ScenarioResult ScenarioEngine::run() {
   }
 
   while (outstanding_ > 0 && !events_.empty()) {
-    if (concurrent_) replay_pump();
     const Event ev = events_.top();
     events_.pop();
     now_ = ev.time;
@@ -486,7 +449,6 @@ ScenarioResult ScenarioEngine::run() {
     }
     if (track_htlc_truth_) drain_truth_log();
   }
-  if (concurrent_) end_replay();
 
   std::size_t bad = 0;
   if (!truth_.check_invariants(&bad)) {
@@ -513,11 +475,7 @@ ScenarioResult ScenarioEngine::run() {
 void ScenarioEngine::stage_next_arrival() {
   if (next_arrival_ >= stream_->size()) return;
   Transaction tx;
-  // Replay reads the stream ahead of staging (speculative dispatch), so
-  // staging must pull from the shared read-ahead buffer, not the stream.
-  if (concurrent_ ? !preread_pop(tx) : !stream_->next(tx)) {
-    return;  // stream shorter than advertised
-  }
+  if (!stream_->next(tx)) return;  // stream shorter than advertised
   // Congestion-collapse warp: arrivals inside the window compress by the
   // factor (a rate spike), later arrivals shift earlier by the saved
   // time. The mapping is monotone, so trace order survives the clamp.
@@ -559,15 +517,8 @@ void ScenarioEngine::attempt_payment(std::size_t tx_index,
     // No churn has happened yet: every view still equals the truth, so the
     // shared perfectly-informed router is exact (and this fast path is what
     // makes the zero-dynamics scenario bit-identical to run_simulation).
-    if (concurrent_) {
-      r = replay_route(tx_index, attempt);
-    } else {
-      if (cfg_.payment_indexed_rng) {
-        base_router_->begin_payment(payment_rng_seed(tx_index, attempt));
-      }
-      r = base_router_->route(tx, truth_);
-      if (htlc_active_ && r.success) stage_htlc_parts(truth_, nullptr);
-    }
+    r = base_router_->route(tx, truth_);
+    if (htlc_active_ && r.success) stage_htlc_parts(truth_, nullptr);
   } else {
     SenderContext& ctx = context_for(tx.sender);
     // Sync the mirror from the truth: probes during routing read live
@@ -575,9 +526,6 @@ void ScenarioEngine::attempt_payment(std::size_t tx_index,
     // stale. A truth-closed channel the view still believes in carries
     // balance 0 — sends over it fail, probes report it dead.
     sync_context(ctx);
-    if (cfg_.payment_indexed_rng) {
-      ctx.router->begin_payment(payment_rng_seed(tx_index, attempt));
-    }
     r = ctx.router->route(tx, *ctx.mirror);
     // With the lifecycle active the mirror is armed too: drain its queued
     // settlements into the staging buffers (translating view edges to
@@ -702,20 +650,6 @@ void ScenarioEngine::finish_payment(const Transaction& tx,
   ++completed_;
   result_.duration = now_;
   check_invariants_if_due();
-}
-
-std::uint64_t ScenarioEngine::payment_rng_seed(std::size_t tx_index,
-                                               std::size_t attempt) const {
-  // Unique deterministic entropy per (payment, attempt): with
-  // payment_indexed_rng on, a route's randomness depends only on WHICH
-  // payment it serves — not on which payments the router instance served
-  // before — which is what lets worker-local routers draw exactly like the
-  // sequential oracle's shared router.
-  std::uint64_t mix =
-      seed_ ^
-      (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(tx_index) + 1)) ^
-      (0xd6e8feb86659fd93ULL * (static_cast<std::uint64_t>(attempt) + 1));
-  return splitmix64(mix);
 }
 
 void ScenarioEngine::note_latency(double seconds) {
@@ -1297,12 +1231,6 @@ void ScenarioEngine::record_truth_change(EdgeId physical_edge) {
 }
 
 void ScenarioEngine::handle_close() {
-  // Churn ends speculation for good: the pristine fast path is over, and
-  // the stale-view machinery that takes its place is inherently
-  // sequential. In-flight speculations are abandoned un-applied (their
-  // arrivals will route through sender contexts like any post-churn
-  // payment), which is why the flip needs no rollback.
-  if (concurrent_) replay_quiesce(/*permanent=*/true);
   if (!open_list_.empty()) {
     const std::size_t pick = dyn_rng_.next_below(open_list_.size());
     const std::size_t c = open_list_[pick];
@@ -1514,12 +1442,6 @@ void ScenarioEngine::handle_gossip_hop() {
 }
 
 void ScenarioEngine::handle_rebalance() {
-  // Rebalance rewrites every balance but keeps the network pristine, so
-  // speculation may continue afterwards: park the pipeline, roll back
-  // every in-flight speculation (their ledger views are about to be
-  // wholesale wrong), apply the drift, and let replay_quiesce's caller
-  // publish the new balances through the replay log.
-  if (concurrent_) replay_quiesce(/*permanent=*/false);
   const Graph& g = workload_->graph();
   if (truth_.active_holds() == 0) {
     // Holds-free ledger: the original wholesale rewrite (bit-identical
@@ -1565,7 +1487,6 @@ void ScenarioEngine::handle_rebalance() {
   // advance the generation and let every mirror full-sync once.
   truth_journal_.clear();
   ++journal_gen_;
-  if (concurrent_) replay_publish_all_edges();
   ++result_.rebalance_events;
   schedule(now_ + cfg_.rebalance.interval, EventType::kRebalance);
 }
@@ -1599,8 +1520,6 @@ void ScenarioEngine::handle_hub_outage(bool start) {
 }
 
 void ScenarioEngine::handle_fault_burst() {
-  // A close burst is churn as far as speculation is concerned.
-  if (concurrent_) replay_quiesce(/*permanent=*/true);
   const Graph& g = workload_->graph();
   if (open_list_.empty() || g.num_nodes() == 0) return;
   // Regional: a BFS ball of channels around a seeded center — the closes
@@ -1634,7 +1553,6 @@ void ScenarioEngine::handle_fault_burst() {
 }
 
 void ScenarioEngine::handle_fault_close(std::size_t index) {
-  if (concurrent_) replay_quiesce(/*permanent=*/true);
   const ChannelFault& cf = cfg_.fault.channel_faults[index];
   if (close_channel_now(cf.channel)) {
     ++result_.fault_channel_closes;

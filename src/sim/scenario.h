@@ -245,42 +245,6 @@ enum class RouterMaintenance : std::uint8_t {
   kIncrementalLazy,
 };
 
-/// How the engine executes the payment stream (the concurrent payment
-/// engine; see sim/concurrent.cc and docs/ARCHITECTURE.md).
-enum class ScenarioExecution : std::uint8_t {
-  /// The classic single-threaded event loop. Default.
-  kSequential,
-  /// Speculative parallel routing with logical-order settlement. Worker
-  /// threads route payments ahead of time on mirror ledgers; the
-  /// coordinator settles them in stream order, accepting a speculation iff
-  /// every balance it read is still current and re-routing inline
-  /// otherwise. Bit-identical (payment digest and all semantic counters)
-  /// to kSequential with payment_indexed_rng on, at ANY worker count.
-  kReplay,
-  /// Maximum-throughput mode: workers commit settlements in completion
-  /// order directly to the shared truth under striped channel locks
-  /// (sorted stripe acquisition — deadlock-free). Only conservation
-  /// invariants are guaranteed; results are deterministic only at
-  /// workers == 1. Requires a zero-dynamics, zero-retry config.
-  kFreeOrder,
-};
-
-/// Concurrent-engine knobs (used when execution != kSequential).
-struct ConcurrencyConfig {
-  ScenarioExecution execution = ScenarioExecution::kSequential;
-  /// Worker threads; 0 = one per hardware thread.
-  std::size_t workers = 0;
-  /// Replay speculation window (payments routed ahead of settlement) and
-  /// free-order dispatch batch. 0 = 8 x workers.
-  std::size_t batch = 0;
-  /// Free-order commit lock stripes (stripe = channel id mod stripes).
-  std::size_t stripes = 64;
-  /// Free-order re-route budget after a commit loses its revalidation.
-  std::size_t conflict_retries = 8;
-  /// Free-order mirror full-refresh period, in payments per worker.
-  std::size_t resync_stride = 256;
-};
-
 /// Everything dynamic about a scenario. The default-constructed config has
 /// every dynamic switched off and reproduces run_simulation bit-for-bit.
 struct ScenarioConfig {
@@ -291,22 +255,11 @@ struct ScenarioConfig {
   /// Time-extended HTLC lifecycle. Composes with churn, gossip staleness,
   /// and rebalancing (in-flight parts crossing a closed channel resolve
   /// on-chain and fail backward from the break point; rebalance sweeps
-  /// skip escrowed channels). Still incompatible with the concurrent
-  /// execution modes (validated): those assume instant settlement.
+  /// skip escrowed channels).
   HtlcConfig htlc;
   /// Deterministic adversarial fault injection (hub outages, close
   /// bursts, congestion ramps). Inactive by default.
   FaultPlan fault;
-  /// Concurrent execution (see ScenarioExecution / sim/concurrent.cc).
-  ConcurrencyConfig concurrency;
-  /// Pin each route attempt's randomness to the payment's logical stream
-  /// index (Router::begin_payment) instead of the router's running rng
-  /// stream. Forced on by both concurrent modes (their determinism
-  /// argument needs route outcomes independent of which payments a router
-  /// instance served before); off by default so sequential results stay
-  /// bit-identical to the pinned historical streams. A sequential run with
-  /// this on is the replay mode's equality oracle.
-  bool payment_indexed_rng = false;
   /// Cap on live per-sender stale-view routers (LRU-evicted beyond; see
   /// sim/sender_cache.h). 0 = unbounded — one router per sender forever,
   /// the original behavior, bit-identical. Evicted senders rebuild on
@@ -415,14 +368,11 @@ struct ScenarioResult {
   /// success (0 when no post-window payment succeeded).
   double fault_recovery_time = 0;
 
-  // --- Concurrent-engine diagnostics (all zero for sequential runs;
-  // EXCLUDED from payment_digest and from the replay-vs-sequential
-  // equality contract — wall-clock latency and scheduling luck are not
-  // semantic). ---
+  // --- Latency summaries (EXCLUDED from payment_digest). ---
 
   /// Wall-clock per-payment service latency (first route start to final
   /// settlement), summarized from a log-binned histogram
-  /// (util/histogram.h).
+  /// (util/histogram.h). Not semantic: it varies run to run.
   struct LatencySummary {
     std::uint64_t count = 0;
     double mean_seconds = 0;
@@ -438,14 +388,6 @@ struct ScenarioResult {
   /// but it stays out of payment_digest so the zero-config digest pin is
   /// unaffected.
   LatencySummary sim_latency;
-  /// Worker threads the run actually used (1 for sequential).
-  std::size_t workers_used = 1;
-  /// Replay: speculative routes settled as-is / re-routed inline because a
-  /// balance they read changed before their turn.
-  std::uint64_t spec_accepted = 0;
-  std::uint64_t spec_rerouted = 0;
-  /// Free-order: commits that lost their striped-lock revalidation.
-  std::uint64_t commit_conflicts = 0;
 };
 
 /// The event-driven scenario simulator. Single-use: construct, run() once,
@@ -478,7 +420,6 @@ class ScenarioEngine {
                  Scheme scheme, const FlashOptions& opts,
                  const SimConfig& sim, const ScenarioConfig& scenario,
                  std::uint64_t seed);
-  ~ScenarioEngine();
 
   ScenarioEngine(const ScenarioEngine&) = delete;
   ScenarioEngine& operator=(const ScenarioEngine&) = delete;
@@ -543,8 +484,8 @@ class ScenarioEngine {
     Transaction tx;
     std::uint64_t probe_messages = 0;
     std::uint32_t probes = 0;
-    /// Wall-clock start of the first route attempt (replay backdates it to
-    /// the speculation's route start). Feeds ScenarioResult::latency.
+    /// Wall-clock start of the first route attempt. Feeds
+    /// ScenarioResult::latency.
     std::chrono::steady_clock::time_point started{};
     /// Sim-time of the payment's arrival: classifies its final outcome
     /// into the fault-window / post-fault degradation buckets.
@@ -663,48 +604,6 @@ class ScenarioEngine {
   void record_truth_change(EdgeId physical_edge);
   bool view_diverged(SenderContext& ctx, NodeId sender);
   void check_invariants_if_due();
-
-  // --- Concurrent execution (defined in sim/concurrent.cc) ---------------
-  //
-  // ConcurrentRuntime owns the worker pool, per-worker routers/mirrors,
-  // the speculation frame ring, and the truth-write replay log. The
-  // sequential event loop stays the single source of ordering truth:
-  // replay mode only swaps the route step of pristine first attempts for
-  // "consume the speculation frame (or re-route inline)".
-
-  struct ConcurrentRuntime;
-  /// Out-of-line deleter (sim/concurrent.cc) so TUs that construct or
-  /// destroy a ScenarioEngine need not see ConcurrentRuntime's definition.
-  struct ConcurrentRuntimeDeleter {
-    void operator()(ConcurrentRuntime* rt) const;
-  };
-  /// Spawns workers and pre-dispatch state for kReplay; forces
-  /// payment_indexed_rng on.
-  void begin_replay();
-  /// Drains and joins the replay pipeline (idempotent; dtor-safe).
-  void end_replay();
-  /// Dispatches further speculation batches while the window has room.
-  void replay_pump();
-  /// Route step under replay: consume the frame for (tx_index, attempt 0)
-  /// if its readset is still current, otherwise re-route inline on the
-  /// owning worker's router. Retries always route inline.
-  RouteResult replay_route(std::size_t tx_index, std::size_t attempt);
-  /// Parks the pipeline: permanent on churn (speculation ends for good;
-  /// the non-pristine stale-view path takes over), temporary around a
-  /// rebalance (all in-flight speculations are rolled back and re-routed).
-  void replay_quiesce(bool permanent);
-  /// After a rebalance rewrote the truth wholesale: publishes every edge
-  /// through the replay log so worker mirrors converge on their next sync.
-  void replay_publish_all_edges();
-  /// Arrival staging via the dispatch read-ahead buffer (replay reads the
-  /// stream ahead of staging; both must see the same transactions).
-  bool preread_pop(Transaction& tx);
-  /// The free-order engine: no event loop, workers commit under striped
-  /// locks. Requires zero dynamics and zero retries (validated).
-  ScenarioResult run_free_order();
-  /// Per-(payment index, attempt) rng seed for Router::begin_payment.
-  std::uint64_t payment_rng_seed(std::size_t tx_index,
-                                 std::size_t attempt) const;
   void note_latency(double seconds);
   void finalize_latency();
 
@@ -780,8 +679,6 @@ class ScenarioEngine {
   ScenarioResult result_;
   bool ran_ = false;
 
-  // Concurrent execution (null unless cfg_.concurrency selects kReplay).
-  std::unique_ptr<ConcurrentRuntime, ConcurrentRuntimeDeleter> concurrent_;
   LogHistogram latency_hist_{1e-8, 1e3, 8};
   double latency_sum_ = 0;
   double latency_max_ = 0;

@@ -40,12 +40,6 @@ class LogHistogram {
   /// which is what p50/p99 latency reporting needs.
   double percentile(double q) const;
 
-  /// Adds another histogram's counts into this one (per-worker latency
-  /// histograms folded after a concurrent run). Binnings must match
-  /// exactly (same lo/hi/bins_per_decade); throws std::invalid_argument
-  /// otherwise.
-  void merge(const LogHistogram& other);
-
   /// Multi-line ASCII rendering (for example programs and debugging).
   std::string render(std::size_t width = 50) const;
 

@@ -59,6 +59,12 @@ std::string fmt_pct(double fraction, int precision) {
   return buf;
 }
 
+std::string fmt_signed_pct(double fraction, int precision) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%+.*f%%", precision, fraction * 100.0);
+  return buf;
+}
+
 std::string fmt_sci(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*e", precision, v);

@@ -31,6 +31,8 @@ class TextTable {
 /// printf-style helpers for numeric cells.
 std::string fmt(double v, int precision = 3);
 std::string fmt_pct(double fraction, int precision = 1);  // 0.42 -> "42.0%"
+/// Like fmt_pct with an explicit sign: 0.42 -> "+42.0%", -0.008 -> "-0.8%".
+std::string fmt_signed_pct(double fraction, int precision = 1);
 std::string fmt_sci(double v, int precision = 3);         // 1.2e+06
 std::string fmt_ratio(double v, int precision = 2);       // 2.31 -> "2.31x"
 

@@ -33,6 +33,13 @@ TEST(Scenario, ZeroDynamicsBitIdenticalToRunSimulation) {
     EXPECT_EQ(got.rebalance_events, 0u);
     EXPECT_EQ(got.gossip_messages, 0u);
     EXPECT_EQ(got.router_rebuilds, 0u);
+    // Wall-clock latency is recorded for every payment. p50/p99 come from
+    // a log histogram (8 bins per decade) that interpolates within a bin,
+    // so a quantile may land up to one bin ratio (10^(1/8) ~= 1.334)
+    // above the exact maximum.
+    EXPECT_EQ(got.latency.count, got.sim.transactions);
+    EXPECT_LE(got.latency.p50_seconds, got.latency.p99_seconds);
+    EXPECT_LE(got.latency.p99_seconds, got.latency.max_seconds * 1.34);
   }
 }
 

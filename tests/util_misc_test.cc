@@ -164,27 +164,6 @@ TEST(LogHistogram, PercentileEdgeCases) {
   EXPECT_GE(over.percentile(0.5), 100.0);
 }
 
-TEST(LogHistogram, MergeAddsCountsBinwise) {
-  LogHistogram a(1.0, 1000.0, 1);
-  LogHistogram b(1.0, 1000.0, 1);
-  a.add(2.0);
-  a.add(0.5);    // underflow
-  b.add(200.0);
-  b.add(1e6);    // overflow
-  a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.bin(0), 1u);
-  EXPECT_EQ(a.bin(2), 1u);
-  EXPECT_EQ(a.underflow(), 1u);
-  EXPECT_EQ(a.overflow(), 1u);
-}
-
-TEST(LogHistogram, MergeRejectsMismatchedBinning) {
-  LogHistogram a(1.0, 1000.0, 1);
-  LogHistogram b(1.0, 1000.0, 2);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
 // --- Strings -----------------------------------------------------------------
 
 TEST(Strings, SplitKeepsEmptyFields) {
@@ -244,6 +223,9 @@ TEST(Table, AlignsColumns) {
 TEST(Table, FmtHelpers) {
   EXPECT_EQ(fmt(1.23456, 2), "1.23");
   EXPECT_EQ(fmt_pct(0.4256, 1), "42.6%");
+  EXPECT_EQ(fmt_signed_pct(0.4256, 1), "+42.6%");
+  EXPECT_EQ(fmt_signed_pct(-0.008, 1), "-0.8%");
+  EXPECT_EQ(fmt_signed_pct(0.0), "+0.0%");
   EXPECT_EQ(fmt_ratio(2.3, 1), "2.3x");
   EXPECT_NE(fmt_sci(1234567.0).find('e'), std::string::npos);
 }

@@ -14,9 +14,8 @@
 #   speedup is visible in the perf trajectory.
 # - FLASH_BENCH_THREADS caps the sweep-engine workers (default: all
 #   hardware threads).
-# - bench_concurrent (sequential vs replay vs free-order payment engine)
-#   and bench_scale run in their own sections; their per-cell JSON reports
-#   land in BENCH_micro.json under "concurrent" and "scale".
+# - bench_scale runs in its own section; its per-cell JSON report lands
+#   in BENCH_micro.json under "scale".
 # - fig15_htlc_sweep (time-extended HTLC lifecycle) rides the fig* loop;
 #   its JSON report additionally carries the zero-latency digest checks
 #   (HtlcConfig{} vs instant settlement) CI gates on, and the bench itself
@@ -99,20 +98,6 @@ for bin in "${BUILD_DIR}"/bench/fig* "${BUILD_DIR}"/bench/ablation_*; do
   echo "${name} $(awk -v a="${start}" -v b="${end}" \
     'BEGIN { printf "%.3f", b - a }')" >>"${TIMINGS}"
 done
-
-echo
-echo "== concurrent engine bench (sequential vs replay vs free-order) =="
-# FLASH_BENCH_WORKERS (comma list, default "1,2,8") picks the thread counts
-# for the replay and free-order rows; the replay rows' digests must match
-# the sequential oracle's, and the bench exits non-zero if they don't.
-rm -f "${OUT_DIR}/bench_concurrent.json"
-if ! FLASH_BENCH_JSON="${OUT_DIR}/bench_concurrent.json" \
-    with_rss bench_concurrent "${BUILD_DIR}/bench/bench_concurrent" \
-    >"${OUT_DIR}/bench_concurrent.log" 2>&1; then
-  echo "warning: bench_concurrent failed (see ${OUT_DIR}/bench_concurrent.log)" >&2
-  FIG_FAILURES=$((FIG_FAILURES + 1))
-fi
-tail -n +4 "${OUT_DIR}/bench_concurrent.log" | sed -n '1,14p'
 
 echo
 echo "== scale bench (Lightning-scale streaming) =="
@@ -204,13 +189,6 @@ scale_path = out / "bench_scale.json"
 if scale_path.exists():
     with open(scale_path) as f:
         merged["scale"] = json.load(f)["cells"]
-
-# Concurrent payment engine: mode x threads throughput/latency rows plus
-# the replay-vs-sequential digest evidence (see bench/bench_concurrent.cc).
-conc_path = out / "bench_concurrent.json"
-if conc_path.exists():
-    with open(conc_path) as f:
-        merged["concurrent"] = json.load(f)["cells"]
 
 with open(dest, "w") as f:
     json.dump(merged, f, indent=1)
