@@ -13,6 +13,9 @@
 // FLASH_BENCH_FAST one 10k-node cell; the default runs 10k and 50k nodes
 // at 10^5 streamed payments each. FLASH_BENCH_JSON writes the structured
 // report run_benches.sh folds into BENCH_micro.json under "scale".
+// Each cell reports set-up (snapshot -> Workload -> engine construction)
+// as setup_seconds and the timed run as wall_seconds; pay/s is over the
+// run alone.
 // FLASH_BENCH_MAINTENANCE=full|strict|lazy picks the router maintenance
 // mode (default lazy: the O(delta) patch path this bench is sized to show
 // off; "full" is the pre-incremental O(network)-rebuild baseline for A/B).
@@ -50,7 +53,8 @@ struct ScaleCell {
 struct ScaleRow {
   ScaleCell cell;
   std::size_t channels = 0;
-  double wall_seconds = 0;
+  double setup_seconds = 0;  // snapshot -> Workload -> engine construction
+  double wall_seconds = 0;   // engine.run() only
   double payments_per_sec = 0;
   double success_ratio = 0;
   double cache_hit_rate = 0;
@@ -117,6 +121,7 @@ const char* maintenance_name(RouterMaintenance m) {
 }
 
 ScaleRow run_cell(const ScaleCell& cell) {
+  const auto setup_start = std::chrono::steady_clock::now();
   Rng rng(1);
   const LightningSnapshot snap = make_snapshot(cell.nodes, rng);
   const Workload w = make_snapshot_workload(snap, cell.label);
@@ -146,12 +151,14 @@ ScaleRow run_cell(const ScaleCell& cell) {
                         /*seed=*/7);
   const auto start = std::chrono::steady_clock::now();
   ScenarioResult result = engine.run();
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
+  const auto end = std::chrono::steady_clock::now();
+  const std::chrono::duration<double> setup = start - setup_start;
+  const std::chrono::duration<double> elapsed = end - start;
 
   ScaleRow row;
   row.cell = cell;
   row.channels = w.graph().num_channels();
+  row.setup_seconds = setup.count();
   row.wall_seconds = elapsed.count();
   row.payments_per_sec =
       static_cast<double>(cell.payments) / std::max(elapsed.count(), 1e-9);
@@ -185,6 +192,7 @@ void write_json(const std::string& path, const std::vector<ScaleRow>& rows,
         << ", \"channels\": " << r.channels
         << ", \"payments\": " << r.cell.payments
         << ", \"max_sender_routers\": " << r.cell.max_routers
+        << ", \"setup_seconds\": " << r.setup_seconds
         << ", \"wall_seconds\": " << r.wall_seconds
         << ", \"payments_per_sec\": " << r.payments_per_sec
         << ", \"success_ratio\": " << r.success_ratio
@@ -232,13 +240,14 @@ int run() {
       std::chrono::steady_clock::now() - start;
 
   TextTable t;
-  t.header({"topo", "nodes", "channels", "payments", "K", "pay/s", "success",
-            "hit rate", "evict", "rebuilds", "patches", "invalidated",
-            "peakRSS MiB"});
+  t.header({"topo", "nodes", "channels", "payments", "K", "setup s", "run s",
+            "pay/s", "success", "hit rate", "evict", "rebuilds", "patches",
+            "invalidated", "peakRSS MiB"});
   for (const ScaleRow& r : rows) {
     t.row({r.cell.label, std::to_string(r.cell.nodes),
            std::to_string(r.channels), std::to_string(r.cell.payments),
-           std::to_string(r.cell.max_routers), fmt(r.payments_per_sec, 0),
+           std::to_string(r.cell.max_routers), fmt(r.setup_seconds, 3),
+           fmt(r.wall_seconds, 3), fmt(r.payments_per_sec, 0),
            fmt_pct(r.success_ratio), fmt_pct(r.cache_hit_rate),
            std::to_string(r.result.router_cache_evictions),
            std::to_string(r.result.router_rebuilds),

@@ -20,7 +20,7 @@ NetworkState::NetworkState(const Graph& g)
 void NetworkState::set_balance(EdgeId e, Amount amount) {
   if (amount < 0) throw std::invalid_argument("negative balance");
   balance_.at(e) = amount;
-  recompute_deposits();
+  rebase_deposit(graph_->channel_of(e));
 }
 
 void NetworkState::assign_balances(std::span<const Amount> balances) {
@@ -495,11 +495,13 @@ void NetworkState::restore(const Snapshot& s) {
   recompute_deposits();
 }
 
+void NetworkState::rebase_deposit(std::size_t c) {
+  const EdgeId fwd = graph_->channel_forward_edge(c);
+  deposit_[c] = balance_[fwd] + balance_[graph_->reverse(fwd)];
+}
+
 void NetworkState::recompute_deposits() {
-  for (std::size_t c = 0; c < graph_->num_channels(); ++c) {
-    const EdgeId fwd = graph_->channel_forward_edge(c);
-    deposit_[c] = balance_[fwd] + balance_[graph_->reverse(fwd)];
-  }
+  for (std::size_t c = 0; c < graph_->num_channels(); ++c) rebase_deposit(c);
 }
 
 }  // namespace flash

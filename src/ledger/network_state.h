@@ -44,14 +44,19 @@ class NetworkState {
 
   // --- Balance initialization -------------------------------------------
 
-  /// Sets the balance of a single directed edge (init-time only: it also
-  /// re-bases the channel's recorded deposit).
+  /// Sets the balance of a single directed edge and re-bases the deposit
+  /// of that edge's channel to the sum of its two directed balances, in
+  /// O(1). Every other channel's deposit is untouched. Init-time only: on
+  /// a channel whose funds are partly locked in an active hold, the
+  /// re-based deposit drops the held amount (set_channel_balance refuses
+  /// that case instead).
   void set_balance(EdgeId e, Amount amount);
 
-  /// Replaces every per-edge balance in one pass, re-basing all deposits
-  /// once (set_balance re-bases per call, which is O(channels) each). Used
-  /// by the scenario engine to sync a stale-view mirror ledger from the
-  /// live one before each payment, and for bulk balance drift. Throws
+  /// Replaces every per-edge balance and re-bases every channel's deposit,
+  /// in one O(edges) pass — the bulk form of set_balance, and how
+  /// Workload::make_state loads a whole network. Used by the scenario
+  /// engine to sync a stale-view mirror ledger from the live one before
+  /// each payment, and for bulk balance drift. Throws
   /// std::invalid_argument on size mismatch or a negative balance and
   /// std::logic_error when holds are in flight.
   void assign_balances(std::span<const Amount> balances);
@@ -249,10 +254,10 @@ class NetworkState {
 
   /// Re-bases ONE channel: sets both directed balances and the channel's
   /// deposit to fwd + bwd, leaving every other channel's deposit untouched
-  /// (set_balance re-derives ALL deposits from balances, which silently
-  /// corrupts channels whose funds are partly locked in active holds).
-  /// Throws std::logic_error while any active hold still locks funds on
-  /// the channel — resolve_holds_on_close first.
+  /// (like set_balance, but checked: this is the mid-run form, used when a
+  /// closed channel reopens with fresh funding). Throws std::logic_error
+  /// while any active hold still locks funds on the channel —
+  /// resolve_holds_on_close first.
   void set_channel_balance(std::size_t channel, Amount fwd, Amount bwd);
 
   /// Marks channels carrying any unsettled held amount (`out` is reset to
@@ -376,6 +381,8 @@ class NetworkState {
   bool defer_commits_ = false;             // deferred settlement armed
   std::vector<HoldId> deferred_commits_;   // queued commit ids, FIFO
 
+  /// Re-derives channel c's deposit from its two directed balances.
+  void rebase_deposit(std::size_t c);
   void recompute_deposits();
 };
 

@@ -225,16 +225,16 @@ struct FaultPlan {
 /// How per-sender routers react to gossip view changes.
 enum class RouterMaintenance : std::uint8_t {
   /// Reconstruct the sender's local graph, fees, mirror and router from
-  /// scratch on every view change — O(network) per change. The original
-  /// behavior and the oracle the differential fuzz harness pins the
-  /// incremental modes against.
+  /// scratch on every view change — O(network) per change. The oracle the
+  /// differential fuzz harness pins the incremental modes against, and the
+  /// fallback for routers without a maskable search (SpeedyMurmurs).
   kFullRebuild,
   /// Keep one engine-shared full-shape view graph and patch the sender's
   /// open-edge mask for the delta only, then drop ALL router caches and
   /// reseed — O(churned channels) per change, provably bit-identical to
   /// kFullRebuild for every scheme (masked search over the full-shape
   /// graph equals search over the compacted open subgraph; see
-  /// docs/ARCHITECTURE.md "Incremental router maintenance").
+  /// docs/ARCHITECTURE.md "Incremental router maintenance"). The default.
   kIncrementalStrict,
   /// Patch the mask AND keep router caches, dropping only entries whose
   /// cached paths cross a closed channel; reopens leave entries
@@ -265,10 +265,11 @@ struct ScenarioConfig {
   /// the original behavior, bit-identical. Evicted senders rebuild on
   /// their next payment, so any K > 0 trades rebuild work for memory.
   std::size_t max_sender_routers = 0;
-  /// View-change reaction (see RouterMaintenance). Defaults to the full
-  /// rebuild so existing pinned results stay bit-identical; schemes whose
-  /// router cannot mask edges (SpeedyMurmurs) silently fall back to it.
-  RouterMaintenance maintenance = RouterMaintenance::kFullRebuild;
+  /// View-change reaction (see RouterMaintenance). Defaults to the O(delta)
+  /// strict patch, which is bit-identical to the full rebuild; schemes
+  /// whose router cannot mask edges (SpeedyMurmurs) silently fall back to
+  /// the full rebuild, which otherwise serves as the test oracle.
+  RouterMaintenance maintenance = RouterMaintenance::kIncrementalStrict;
 };
 
 /// Simulation metrics plus scenario-level counters.

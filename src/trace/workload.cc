@@ -25,9 +25,11 @@ Workload::Workload(Graph graph, std::vector<Amount> initial_balances,
 
 NetworkState Workload::make_state(double capacity_scale) const {
   NetworkState state(graph_);
-  for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
-    state.set_balance(e, initial_balances_[e] * capacity_scale);
+  std::vector<Amount> scaled(initial_balances_.size());
+  for (std::size_t e = 0; e < scaled.size(); ++e) {
+    scaled[e] = initial_balances_[e] * capacity_scale;
   }
+  state.assign_balances(scaled);
   return state;
 }
 

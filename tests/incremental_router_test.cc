@@ -3,7 +3,8 @@
 //
 // The oracle is kFullRebuild: reconstruct the sender's local graph, fees,
 // mirror and router from scratch on every view change. The harness drives
-// randomized churn/gossip/payment interleavings through the incremental
+// randomized churn/gossip/payment interleavings (and, in a second corpus,
+// the HTLC lifecycle and fault injection on top) through the incremental
 // engines and pins them against the oracle:
 //
 //   - kIncrementalStrict must be field-for-field identical to the oracle
@@ -53,6 +54,14 @@ struct FuzzKnobs {
   std::size_t max_retries = 0;
   std::size_t max_sender_routers = 0;  // 0 = unbounded LRU
   double rebalance_interval = 0;
+  // HTLC lifecycle and fault injection: off in the churn corpus
+  // (knobs_for), drawn by htlc_fault_knobs_for.
+  double hop_latency = 0;     // 0 = instant settlement
+  double timelock_delta = 0;  // 0 = no expiry
+  std::size_t burst_channels = 0;  // regional close burst (0 = none)
+  std::size_t hub_count = 0;       // coordinated hub outage (0 = none)
+  double fault_start = 0;
+  double fault_length = 0;  // outage duration / burst reopen delay
 
   std::string describe() const {
     std::ostringstream os;
@@ -63,7 +72,12 @@ struct FuzzKnobs {
        << " mean_downtime=" << mean_downtime << " hop_delay=" << hop_delay
        << " max_retries=" << max_retries
        << " max_sender_routers=" << max_sender_routers
-       << " rebalance_interval=" << rebalance_interval;
+       << " rebalance_interval=" << rebalance_interval
+       << " hop_latency=" << hop_latency
+       << " timelock_delta=" << timelock_delta
+       << " burst_channels=" << burst_channels << " hub_count=" << hub_count
+       << " fault_start=" << fault_start
+       << " fault_length=" << fault_length;
     return os.str();
   }
 };
@@ -91,6 +105,33 @@ FuzzKnobs knobs_for(std::uint64_t index) {
   return k;
 }
 
+/// The churn knobs of knobs_for(index) plus an HTLC hop latency and one
+/// fault family, drawn from a separate stream so the churn corpus above
+/// keeps its exact draws. Arrivals are one per sim-time unit, so fault
+/// windows are placed as fractions of the payment count.
+FuzzKnobs htlc_fault_knobs_for(std::uint64_t index) {
+  FuzzKnobs k = knobs_for(index);
+  std::uint64_t state = 0x417cfa17u ^ (index * 0x9e3779b97f4a7c15ULL);
+  const auto pick = [&state](std::uint64_t n) {
+    return splitmix64(state) % n;
+  };
+  const double latencies[] = {0.5, 2.0, 5.0};
+  k.hop_latency = latencies[pick(3)];
+  k.timelock_delta = (pick(3) == 0) ? 10.0 : 0.0;
+  const double payments = static_cast<double>(k.payments);
+  k.fault_start = payments * ((pick(2) == 0) ? 0.25 : 0.5);
+  if (pick(2) == 0) {
+    const std::size_t bursts[] = {3, 8};
+    k.burst_channels = bursts[pick(2)];
+    // 0 = the burst's channels stay closed.
+    k.fault_length = payments * ((pick(2) == 0) ? 0.0 : 0.2);
+  } else {
+    k.hub_count = 1 + pick(2);
+    k.fault_length = payments * ((pick(2) == 0) ? 0.1 : 0.2);
+  }
+  return k;
+}
+
 ScenarioConfig scenario_config(const FuzzKnobs& k, RouterMaintenance mode) {
   ScenarioConfig cfg;
   cfg.retry.max_retries = k.max_retries;
@@ -100,6 +141,18 @@ ScenarioConfig scenario_config(const FuzzKnobs& k, RouterMaintenance mode) {
   cfg.gossip.hop_delay = k.hop_delay;
   cfg.max_sender_routers = k.max_sender_routers;
   cfg.rebalance.interval = k.rebalance_interval;
+  cfg.htlc.hop_latency = k.hop_latency;
+  cfg.htlc.timelock_delta = k.timelock_delta;
+  cfg.fault.burst_channels = k.burst_channels;
+  cfg.fault.hub_count = k.hub_count;
+  if (k.burst_channels > 0) {
+    cfg.fault.burst_time = k.fault_start;
+    cfg.fault.burst_reopen_after = k.fault_length;
+  }
+  if (k.hub_count > 0) {
+    cfg.fault.hub_outage_start = k.fault_start;
+    cfg.fault.hub_outage_duration = k.fault_length;
+  }
   cfg.maintenance = mode;
   return cfg;
 }
@@ -146,6 +199,27 @@ void expect_results_identical(const ScenarioResult& oracle,
   EXPECT_EQ(oracle.router_cache_misses, got.router_cache_misses);
   EXPECT_EQ(oracle.router_cache_evictions, got.router_cache_evictions);
   EXPECT_EQ(oracle.duration, got.duration);
+  EXPECT_EQ(oracle.htlc_payments, got.htlc_payments);
+  EXPECT_EQ(oracle.htlc_inflight_failures, got.htlc_inflight_failures);
+  EXPECT_EQ(oracle.htlc_expiries, got.htlc_expiries);
+  EXPECT_EQ(oracle.htlc_offline_failures, got.htlc_offline_failures);
+  EXPECT_EQ(oracle.htlc_max_inflight, got.htlc_max_inflight);
+  EXPECT_EQ(oracle.htlc_onchain_settled_hops, got.htlc_onchain_settled_hops);
+  EXPECT_EQ(oracle.htlc_onchain_refunded_hops,
+            got.htlc_onchain_refunded_hops);
+  EXPECT_EQ(oracle.htlc_break_failures, got.htlc_break_failures);
+  EXPECT_EQ(oracle.rebalance_skipped_channels,
+            got.rebalance_skipped_channels);
+  EXPECT_EQ(oracle.fault_hub_outages, got.fault_hub_outages);
+  EXPECT_EQ(oracle.fault_channel_closes, got.fault_channel_closes);
+  EXPECT_EQ(oracle.fault_window_payments, got.fault_window_payments);
+  EXPECT_EQ(oracle.fault_window_successes, got.fault_window_successes);
+  EXPECT_EQ(oracle.post_fault_payments, got.post_fault_payments);
+  EXPECT_EQ(oracle.post_fault_successes, got.post_fault_successes);
+  EXPECT_EQ(oracle.fault_recovery_time, got.fault_recovery_time);
+  EXPECT_EQ(oracle.sim_latency.count, got.sim_latency.count);
+  EXPECT_EQ(oracle.sim_latency.mean_seconds, got.sim_latency.mean_seconds);
+  EXPECT_EQ(oracle.sim_latency.max_seconds, got.sim_latency.max_seconds);
 }
 
 bool digests_equal(const ScenarioResult& a, const ScenarioResult& b) {
@@ -166,17 +240,20 @@ std::size_t minimal_failing_prefix(const Workload& w, const FuzzKnobs& k,
   return w.transactions().size();
 }
 
-void check_against_oracle(const Workload& w, const FuzzKnobs& k,
-                          RouterMaintenance mode, const char* mode_name) {
+/// Returns the checked mode's result, so callers can also assert that the
+/// corpus exercised what it was built to exercise.
+ScenarioResult check_against_oracle(const Workload& w, const FuzzKnobs& k,
+                                    RouterMaintenance mode,
+                                    const char* mode_name) {
   const ScenarioResult oracle = run_mode(w, k, RouterMaintenance::kFullRebuild);
-  const ScenarioResult got = run_mode(w, k, mode);
+  ScenarioResult got = run_mode(w, k, mode);
   if (!digests_equal(oracle, got)) {
     ADD_FAILURE() << mode_name << " diverged from the full-rebuild oracle\n"
                   << "  knobs: " << k.describe() << "\n"
                   << "  minimal failing payment prefix: "
                   << minimal_failing_prefix(w, k, mode) << " of "
                   << w.transactions().size();
-    return;
+    return got;
   }
   SCOPED_TRACE(k.describe());
   expect_results_identical(oracle, got);
@@ -186,6 +263,7 @@ void check_against_oracle(const Workload& w, const FuzzKnobs& k,
   if (k.scheme != Scheme::kSpeedyMurmurs) {
     EXPECT_EQ(got.router_rebuilds, got.router_cache_misses);
   }
+  return got;
 }
 
 // --- The ≥200-scenario differential corpus -------------------------------
@@ -202,6 +280,38 @@ TEST(IncrementalFuzz, StrictMatchesOracleAcrossSeeds) {
                          "kIncrementalStrict");
     if (HasFatalFailure()) return;
   }
+}
+
+// The same field-for-field check with the HTLC lifecycle active (hop
+// latency, sometimes timelock expiry) and a close burst or hub outage on
+// top of the churn knobs: the combination the default strict mode runs in
+// the HTLC and fault sweeps, which the churn corpus above never draws.
+TEST(IncrementalFuzz, StrictMatchesOracleWithHtlcAndFaults) {
+  constexpr std::uint64_t kScenarios = 48;
+  std::size_t patches = 0, htlc_payments = 0, hub_outages = 0,
+              burst_closes = 0, onchain_hops = 0;
+  for (std::uint64_t i = 0; i < kScenarios; ++i) {
+    const FuzzKnobs k = htlc_fault_knobs_for(i);
+    const Workload w =
+        make_toy_workload(k.nodes, k.payments, /*seed=*/k.seed & 0xffff);
+    const ScenarioResult got = check_against_oracle(
+        w, k, RouterMaintenance::kIncrementalStrict, "kIncrementalStrict");
+    if (HasFatalFailure()) return;
+    patches += got.router_patches;
+    htlc_payments += got.htlc_payments;
+    hub_outages += got.fault_hub_outages;
+    burst_closes += got.fault_channel_closes;
+    onchain_hops +=
+        got.htlc_onchain_settled_hops + got.htlc_onchain_refunded_hops;
+  }
+  // The corpus must reach what it exists to cover: strict patches under
+  // in-flight HTLCs, both fault families, and closes that catch HTLCs
+  // in flight.
+  EXPECT_GT(patches, 0u);
+  EXPECT_GT(htlc_payments, 0u);
+  EXPECT_GT(hub_outages, 0u);
+  EXPECT_GT(burst_closes, 0u);
+  EXPECT_GT(onchain_hops, 0u);
 }
 
 // Lazy maintenance keeps per-pair path caches across view changes. For

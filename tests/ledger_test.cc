@@ -2,14 +2,22 @@
 // the channel conservation invariant, and AMP atomicity.
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
+#include "graph/topology.h"
 #include "ledger/fee_policy.h"
 #include "ledger/htlc.h"
 #include "ledger/network_state.h"
 #include "testutil.h"
+#include "trace/workload.h"
 
 namespace flash {
 namespace {
@@ -121,6 +129,99 @@ TEST(NetworkState, NegativeBalanceRejected) {
   Graph g = make_graph(2, {{0, 1}});
   NetworkState s(g);
   EXPECT_THROW(s.set_balance(0, -1), std::invalid_argument);
+}
+
+TEST(NetworkState, SetBalanceRebasesOnlyItsOwnChannel) {
+  Graph g = make_graph(4, {{0, 1}, {1, 2}, {2, 3}});
+  NetworkState s(g);
+  set_channel(s, g, 0, 10, 5);
+  set_channel(s, g, 1, 20, 0);
+  set_channel(s, g, 2, 7, 7);
+  // Channel 1 has 4 of its 20 locked in an active hold: its deposit must
+  // keep counting them while another channel is re-based.
+  const auto id = s.hold(Path{fwd(g, 1)}, 4);
+  ASSERT_TRUE(id.has_value());
+  s.set_balance(fwd(g, 2), 30);
+  EXPECT_EQ(s.channel_deposit(fwd(g, 0)), 15);
+  EXPECT_EQ(s.channel_deposit(fwd(g, 1)), 20);
+  EXPECT_EQ(s.channel_deposit(fwd(g, 2)), 37);
+  EXPECT_TRUE(s.check_invariants());
+  s.abort(*id);
+  EXPECT_EQ(s.balance(fwd(g, 1)), 20);
+  EXPECT_TRUE(s.check_invariants());
+}
+
+/// A workload over an Erdos-Renyi graph with exactly `channels` channels
+/// and non-round per-edge balances (no transactions: only the ledger
+/// set-up is under test).
+Workload balanced_workload(std::size_t nodes, std::size_t channels,
+                           std::uint64_t seed) {
+  Rng rng(seed);
+  Graph g = erdos_renyi(nodes, channels, rng);
+  std::vector<Amount> balances(g.num_edges());
+  for (Amount& b : balances) b = rng.uniform(1.0, 1000.0);
+  FeeSchedule fees(g);
+  return Workload(std::move(g), std::move(balances), std::move(fees), {},
+                  "ledger-setup");
+}
+
+TEST(NetworkState, PerEdgeSetBalanceMatchesBulkDeposits) {
+  // Workload::make_state loads balances in bulk; set_balance re-bases one
+  // channel per call. Both must derive bit-identical deposits.
+  const Workload w = balanced_workload(200, 900, 11);
+  const NetworkState bulk = w.make_state(2.5);
+  NetworkState per_edge(w.graph());
+  for (EdgeId e = 0; e < w.graph().num_edges(); ++e) {
+    per_edge.set_balance(e, bulk.balance(e));
+  }
+  for (EdgeId e = 0; e < w.graph().num_edges(); ++e) {
+    EXPECT_EQ(bulk.channel_deposit(e), per_edge.channel_deposit(e))
+        << "edge " << e;
+  }
+  EXPECT_TRUE(bulk.check_invariants());
+}
+
+// Ledger set-up must be linear in the network size: a quadratic path
+// (re-deriving every deposit per edge) is a bug even when its output is
+// right. Quadrupling the channel count takes ~4x the time when linear and
+// ~16x when quadratic; the bound of 8 sits between them. Each size's time
+// is the minimum of 3 timings, and each timing averages make_state over
+// at least 2 ms of calls so timer resolution and preemption wash out.
+TEST(NetworkState, MakeStateSetUpScalesLinearly) {
+#if defined(__GLIBC__)
+  // Pin glibc's dynamic mmap/trim thresholds. Otherwise the larger ledger's
+  // freed vectors go back to the kernel after every call while the smaller
+  // one's are reused warm, and the page faults alone inflate the ratio
+  // past 8 for linear code. The test measures the ledger, not the kernel.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+#endif
+  const auto seconds_per_call = [](const Workload& w) {
+    double best = 1e30;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      std::chrono::duration<double> took{0};
+      int calls = 0;
+      Amount sink = 0;
+      do {
+        sink += w.make_state(1.5).channel_deposit(0);
+        ++calls;
+        took = std::chrono::steady_clock::now() - start;
+      } while (took.count() < 2e-3);
+      EXPECT_GT(sink, 0);
+      best = std::min(best, took.count() / calls);
+    }
+    return best;
+  };
+  const Workload small = balanced_workload(2000, 8000, 21);
+  const Workload large = balanced_workload(8000, 32000, 22);
+  ASSERT_EQ(large.graph().num_channels(), 4 * small.graph().num_channels());
+  const double t_small = seconds_per_call(small);
+  const double t_large = seconds_per_call(large);
+  EXPECT_LT(t_large, 8 * t_small)
+      << "make_state took " << t_small << " s at "
+      << small.graph().num_channels() << " channels and " << t_large
+      << " s at " << large.graph().num_channels() << " channels";
 }
 
 // --- Probing ------------------------------------------------------------------
