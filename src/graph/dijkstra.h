@@ -27,9 +27,28 @@ using EdgeWeight = std::function<double(EdgeId)>;
 
 inline constexpr double kEdgeBanned = std::numeric_limits<double>::infinity();
 
+/// A weight functor opts into dijkstra_core's unit-cost exits by declaring
+/// `static constexpr bool kUnitCost = true;` — a promise that every edge
+/// weighs exactly 1.0 or kEdgeBanned. Functors without the member (legacy
+/// EdgeWeight callables, fee weights) run the general search.
+template <typename WeightFn>
+inline constexpr bool kIsUnitCost =
+    requires { requires std::remove_cvref_t<WeightFn>::kUnitCost; };
+
 /// Unit edge weight (hop counting) — the default when no weight is given.
 struct UnitWeight {
+  static constexpr bool kUnitCost = true;
   double operator()(EdgeId) const { return 1.0; }
+};
+
+/// Hop counting on the open-channel subgraph: edge e weighs 1.0 when
+/// mask[e] is non-zero and kEdgeBanned otherwise, which dijkstra_core skips
+/// before pushing — the search behaves exactly as if closed edges were
+/// absent.
+struct OpenMaskUnitWeight {
+  static constexpr bool kUnitCost = true;
+  const unsigned char* mask;
+  double operator()(EdgeId e) const { return mask[e] ? 1.0 : kEdgeBanned; }
 };
 
 /// Result of a single-pair shortest path query.
@@ -67,6 +86,17 @@ struct DijkstraCoreResult {
 /// unbounded search, so any path found is bit-identical to the unbounded
 /// one — callers may prune with it whenever they would discard costlier
 /// results anyway (Yen's candidate bound).
+///
+/// Unit-cost weights (kIsUnitCost: UnitWeight, OpenMaskUnitWeight) take
+/// two more exits in single-target mode, neither of which changes found,
+/// distance or path:
+///  1. The search stops when t is first labelled, not when it is popped.
+///     Pops come in non-decreasing d, so every later relaxation offers
+///     t at least its current label, and the strict `<` keeps parent(t);
+///     t's ancestors are already settled.
+///  2. Under a finite cutoff it stops once the popped d + 1 > cutoff:
+///     nothing relaxed from there can reach t within the cutoff.
+/// scratch.dist/parent then hold only the part of the tree searched.
 template <typename WeightFn>
 DijkstraCoreResult dijkstra_core(
     const Graph& g, NodeId s, NodeId t, GraphScratch& scratch,
@@ -103,6 +133,7 @@ DijkstraCoreResult dijkstra_core(
   const auto nban = scratch.node_ban.view();
   const auto eban = scratch.edge_ban.view();
   const bool finalized = g.finalized();
+  constexpr bool unit_cost = kIsUnitCost<WeightFn>;
   // The search loop, stamped out once per ban mode so the per-edge ban
   // checks vanish entirely from the no-bans instantiation (the branch
   // would otherwise run for every relaxed edge).
@@ -114,27 +145,41 @@ DijkstraCoreResult dijkstra_core(
       if (d > cutoff) break;  // everything still queued costs > cutoff
       if (d > dist.get_or(u, inf)) continue;  // stale entry
       if (u == t) break;  // never taken in all-targets mode
+      if constexpr (unit_cost) {
+        // Exit 2; all-targets mode keeps the full tree.
+        if (!all_targets && d + 1.0 > cutoff) break;
+      }
+      // Returns true when t has just been labelled under unit costs
+      // (exit 1); never in all-targets mode, where t matches no node.
       auto relax = [&](EdgeId e, NodeId v) {
         if constexpr (bans.value) {
-          if (nban.get_or(v, 0)) return;
-          if (eban.get_or(e, 0)) return;
+          if (nban.get_or(v, 0)) return false;
+          if (eban.get_or(e, 0)) return false;
         }
         const double w = weight(e);
-        if (w == kEdgeBanned) return;
+        if (w == kEdgeBanned) return false;
         const double nd = d + w;
         if (nd < dist.get_or(v, inf)) {
           dist.set(v, nd);
           parent.set(v, e);
+          if constexpr (unit_cost) {
+            if (v == t) return true;
+          }
           heap.push_back({nd, v});
           std::push_heap(heap.begin(), heap.end(), std::greater<>{});
         }
+        return false;
       };
       if (finalized) {
         // Packed-arc loop: head node in the same sequential stream as the
         // edge id (see Graph::out_arcs); relaxation order is identical.
-        for (const Graph::Arc a : g.out_arcs(u)) relax(a.edge, a.head);
+        for (const Graph::Arc a : g.out_arcs(u)) {
+          if (relax(a.edge, a.head)) return;
+        }
       } else {
-        for (EdgeId e : g.out_edges(u)) relax(e, g.to(e));
+        for (EdgeId e : g.out_edges(u)) {
+          if (relax(e, g.to(e))) return;
+        }
       }
     }
   };
@@ -147,7 +192,8 @@ DijkstraCoreResult dijkstra_core(
   // Under a finite cutoff the loop can stop with t carrying a tentative
   // (unsettled, possibly non-optimal) label > cutoff; only a settled t —
   // which always has dist <= cutoff, else the u == t break could not have
-  // run — counts as found.
+  // run — or, under unit costs, a first-labelled one within the cutoff
+  // counts as found.
   if (scratch.dist.get(t) > cutoff) return result;
   result.found = true;
   result.distance = scratch.dist.get(t);

@@ -9,6 +9,10 @@
 // pooled paths (no std::set<Path> full-path tree), and candidates live in a
 // binary min-heap ordered by (cost, path) — the exact extraction order the
 // previous std::set implementation had, so results are bit-identical.
+// Spur searches are pruned three ways, none of which changes the output:
+// Lawler's deviation-index skip, a candidate-bound cutoff, and — for
+// unit-cost weights such as the mice table's hop counts — dijkstra_core's
+// stop at the first label of t (see its contract in graph/dijkstra.h).
 #pragma once
 
 #include <algorithm>

@@ -34,14 +34,10 @@ const std::vector<Path>& MiceRoutingTable::lookup(NodeId sender,
     Entry entry;
     auto& paths = scratch.path_list_buf;
     if (open_mask_) {
-      // Masked topology: closed edges cost kEdgeBanned, which dijkstra_core
-      // skips before pushing — the search behaves exactly as if the edge
-      // were absent, so results match Yen on the open-channel subgraph.
-      const unsigned char* mask = open_mask_;
-      yen_core(
-          *graph_, sender, receiver,
-          config_.paths_per_receiver + config_.spare_paths, scratch,
-          [mask](EdgeId e) { return mask[e] ? 1.0 : kEdgeBanned; }, paths);
+      // Masked topology: results match Yen on the open-channel subgraph.
+      yen_core(*graph_, sender, receiver,
+               config_.paths_per_receiver + config_.spare_paths, scratch,
+               OpenMaskUnitWeight{open_mask_}, paths);
     } else {
       yen_core(*graph_, sender, receiver,
                config_.paths_per_receiver + config_.spare_paths, scratch,

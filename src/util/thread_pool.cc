@@ -64,10 +64,9 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for_chunked(ThreadPool& pool, std::size_t n, std::size_t grain,
-                          const std::function<void(std::size_t)>& fn) {
+void parallel_for(ThreadPool& pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (grain < 1) grain = 1;
 
   // Shared by the runner tasks; the caller blocks until `pending` drains.
   struct State {
@@ -79,22 +78,18 @@ void parallel_for_chunked(ThreadPool& pool, std::size_t n, std::size_t grain,
   };
   auto state = std::make_shared<State>();
 
-  const std::size_t chunks = (n + grain - 1) / grain;
-  const std::size_t runners = std::min(pool.size(), chunks);
+  const std::size_t runners = std::min(pool.size(), n);
   state->pending = runners;
   for (std::size_t r = 0; r < runners; ++r) {
-    pool.submit([state, n, grain, &fn] {
+    pool.submit([state, n, &fn] {
       for (;;) {
-        const std::size_t lo = state->next.fetch_add(grain);
-        if (lo >= n) break;
-        const std::size_t hi = std::min(n, lo + grain);
-        for (std::size_t i = lo; i < hi; ++i) {
-          try {
-            fn(i);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(state->mutex);
-            if (!state->error) state->error = std::current_exception();
-          }
+        const std::size_t i = state->next.fetch_add(1);
+        if (i >= n) break;
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(state->mutex);
+          if (!state->error) state->error = std::current_exception();
         }
       }
       std::lock_guard<std::mutex> lock(state->mutex);
@@ -105,11 +100,6 @@ void parallel_for_chunked(ThreadPool& pool, std::size_t n, std::size_t grain,
   std::unique_lock<std::mutex> lock(state->mutex);
   state->done.wait(lock, [&] { return state->pending == 0; });
   if (state->error) std::rethrow_exception(state->error);
-}
-
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  parallel_for_chunked(pool, n, /*grain=*/1, fn);
 }
 
 }  // namespace flash

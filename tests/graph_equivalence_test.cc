@@ -480,6 +480,53 @@ TEST(DijkstraHardening, OutOfRangeTargetsReturnNotFound) {
   EXPECT_TRUE(dijkstra(g, 0, 1).found);
 }
 
+/// Unit weights without the kUnitCost trait: dijkstra_core runs the full
+/// settle-until-popped search, the oracle for the unit-cost exits.
+struct FullSettleUnitWeight {
+  double operator()(EdgeId) const { return 1.0; }
+};
+static_assert(kIsUnitCost<UnitWeight> && kIsUnitCost<const UnitWeight&>);
+static_assert(kIsUnitCost<OpenMaskUnitWeight>);
+static_assert(!kIsUnitCost<FullSettleUnitWeight>);
+static_assert(!kIsUnitCost<testing::DeterministicFeeWeight>);
+static_assert(!kIsUnitCost<LegacyCallable<EdgeWeight>>);
+
+TEST(DijkstraEquivalence, UnitCostExitMatchesFullSettle) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double cutoffs[] = {inf, 1.0, 2.0, 2.5, 3.0, 3.0 + 1e-9, 4.0};
+  Rng rng(33);
+  for (const Graph* g : {&medium_graph(), &small_world_graph()}) {
+    GraphScratch scratch;
+    for (int i = 0; i < 60; ++i) {
+      const auto [s, t] = random_pair(rng, *g);
+      const bool use_bans = i % 3 != 0;
+      // The marks survive dijkstra_core, so both searches see the same set.
+      scratch.node_ban.reset(g->num_nodes());
+      scratch.edge_ban.reset(g->num_edges());
+      for (int b = 0; b < 8; ++b) {
+        scratch.node_ban.set(rng.next_below(g->num_nodes()), 1);
+      }
+      for (int b = 0; b < 40; ++b) {
+        scratch.edge_ban.set(rng.next_below(g->num_edges()), 1);
+      }
+      for (const double cutoff : cutoffs) {
+        SCOPED_TRACE(::testing::Message() << "s=" << s << " t=" << t
+                                          << " bans=" << use_bans
+                                          << " cutoff=" << cutoff);
+        Path want_path, got_path;
+        const DijkstraCoreResult want =
+            dijkstra_core(*g, s, t, scratch, FullSettleUnitWeight{},
+                          use_bans, want_path, cutoff);
+        const DijkstraCoreResult got = dijkstra_core(
+            *g, s, t, scratch, UnitWeight{}, use_bans, got_path, cutoff);
+        ASSERT_EQ(got.found, want.found);
+        EXPECT_EQ(got.distance, want.distance);
+        EXPECT_EQ(got_path, want_path);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // BFS family
 // ---------------------------------------------------------------------------
@@ -579,6 +626,28 @@ TEST(YenEquivalence, SmallWorldManyPaths) {
     if (s == t) continue;
     expect_same_paths(yen_k_shortest_paths(g, s, t, 16),
                       ref_yen(g, s, t, 16));
+  }
+}
+
+TEST(YenEquivalence, OpenMaskMatchesBannedWeightReference) {
+  // The mice table's masked topology: ~10 % of channels closed in both
+  // directions, as a gossip view marks them.
+  const Graph& g = medium_graph();
+  Rng rng(55);
+  std::vector<unsigned char> mask(g.num_edges(), 1);
+  for (EdgeId e = 0; e < g.num_edges(); e += 2) {
+    if (rng.next_below(10) == 0) mask[e] = mask[g.reverse(e)] = 0;
+  }
+  const EdgeWeight banned_closed = [&](EdgeId e) {
+    return mask[e] ? 1.0 : kEdgeBanned;
+  };
+  GraphScratch scratch;
+  std::vector<Path> got;
+  for (int i = 0; i < 30; ++i) {
+    const auto [s, t] = random_pair(rng, g);
+    if (s == t) continue;
+    yen_core(g, s, t, 8, scratch, OpenMaskUnitWeight{mask.data()}, got);
+    expect_same_paths(got, ref_yen(g, s, t, 8, banned_closed));
   }
 }
 

@@ -146,6 +146,60 @@ TEST(Dijkstra, DistancesAll) {
   EXPECT_DOUBLE_EQ(d[3], 3.0);
 }
 
+// A hub s with `fanout` neighbours, each carrying one more leaf: neighbour i
+// is node 1 + i and its leaf is node 1 + fanout + i, so every leaf sits at
+// distance 2 from s. Node 1 + 2 * fanout is t, linked to s by the last
+// channel when `link_target` is set and isolated otherwise.
+Graph hub_with_leaves(std::size_t fanout, bool link_target) {
+  const auto n = static_cast<NodeId>(fanout);
+  Graph g(2 + 2 * fanout);
+  for (NodeId i = 0; i < n; ++i) {
+    g.add_channel(0, 1 + i);
+    g.add_channel(1 + i, 1 + n + i);
+  }
+  if (link_target) g.add_channel(0, 1 + 2 * n);
+  g.finalize();
+  return g;
+}
+
+bool any_leaf_labelled(const GraphScratch& scratch, std::size_t fanout) {
+  for (std::size_t v = 1 + fanout; v < 1 + 2 * fanout; ++v) {
+    if (scratch.dist.contains(v)) return true;
+  }
+  return false;
+}
+
+TEST(DijkstraWorkBound, UnitCostStopsWhenTargetIsLabelled) {
+  // t is one hop from s, but it is pushed after all 50 other neighbours,
+  // so a search that runs until t is popped relaxes their leaves first.
+  constexpr std::size_t kFanout = 50;
+  const Graph g = hub_with_leaves(kFanout, /*link_target=*/true);
+  const auto t = static_cast<NodeId>(1 + 2 * kFanout);
+  GraphScratch scratch;
+  Path path;
+  const DijkstraCoreResult r =
+      dijkstra_core(g, 0, t, scratch, UnitWeight{}, false, path);
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(r.distance, 1.0);
+  ASSERT_EQ(path.size(), 1u);
+  EXPECT_EQ(g.to(path[0]), t);
+  EXPECT_FALSE(any_leaf_labelled(scratch, kFanout));
+}
+
+TEST(DijkstraWorkBound, UnitCostCutoffStopsBeforeOverBudgetLevel) {
+  // Cutoff 1 with t unreachable: nothing at distance 2 can matter.
+  constexpr std::size_t kFanout = 50;
+  const Graph g = hub_with_leaves(kFanout, /*link_target=*/false);
+  const auto t = static_cast<NodeId>(1 + 2 * kFanout);
+  GraphScratch scratch;
+  Path path;
+  const DijkstraCoreResult r =
+      dijkstra_core(g, 0, t, scratch, UnitWeight{}, false, path, 1.0);
+  EXPECT_FALSE(r.found);
+  EXPECT_TRUE(path.empty());
+  EXPECT_FALSE(any_leaf_labelled(scratch, kFanout));
+}
+
 // --- Yen -----------------------------------------------------------------------
 
 TEST(Yen, FindsDistinctLooplessPathsInOrder) {

@@ -3,6 +3,9 @@
 // comparisons in miniature, plus simulator-vs-testbed consistency.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/flash.h"
 #include "testbed/runner.h"
 
@@ -89,6 +92,37 @@ TEST(Integration, FlashAndSpiderLeadSuccessRatioAtLowCapacity) {
   }
   EXPECT_GT(flash + 0.02, std::max(sm, sp));
   EXPECT_GT(spider + 0.02, std::max(sm, sp));
+}
+
+TEST(Integration, RippleFlashRouteDigestPinned) {
+  // Golden digest of every RouteResult of static Flash (default options,
+  // capacity scale 10) on a paper-scale Ripple trace: its mice payments
+  // run the routing-table Yen fills, its elephants the probe + LP path,
+  // and fees and probe counts depend on the exact paths chosen. If this
+  // moves, a routing result changed — do not re-pin without understanding
+  // why.
+  WorkloadConfig wc;
+  wc.num_transactions = 400;
+  wc.seed = 1;
+  const Workload w = make_ripple_workload(wc);
+  const auto router = make_router(Scheme::kFlash, w, {}, 1);
+  std::uint64_t digest = 0;
+  auto fold = [&digest](std::uint64_t v) {
+    digest ^= v + 0x9e3779b97f4a7c15ULL + (digest << 6) + (digest >> 2);
+  };
+  const SimObserver observe = [&](std::size_t, const Transaction&,
+                                  const RouteResult& r) {
+    fold(r.success);
+    fold(std::bit_cast<std::uint64_t>(r.delivered));
+    fold(std::bit_cast<std::uint64_t>(r.fee));
+    fold(r.probe_messages);
+    fold(r.probes);
+    fold(r.paths_used);
+    fold(r.elephant);
+  };
+  const SimResult result = run_simulation(w, *router, {10.0}, observe);
+  EXPECT_EQ(result.transactions, 400u);
+  EXPECT_EQ(digest, 18196264122072367256ull);
 }
 
 TEST(Integration, FeeOptimizationReducesUnitFee) {
