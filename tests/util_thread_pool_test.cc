@@ -80,10 +80,6 @@ TEST(ParallelFor, RethrowsFirstException) {
   // Every non-throwing index still ran: indices 3,10,..,59 throw (nine of
   // the 64), leaving 55 completions.
   EXPECT_EQ(completed.load(), 55);
-  // The pool must survive for reuse after the throw.
-  std::atomic<int> ran{0};
-  parallel_for(pool, 32, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 32);
 }
 
 TEST(ParallelFor, ReusableAcrossCalls) {
@@ -95,6 +91,21 @@ TEST(ParallelFor, ReusableAcrossCalls) {
     });
   }
   EXPECT_EQ(sum.load(), 5L * (99L * 100L / 2));
+}
+
+// A single throwing index in a longer range (the case the former chunked
+// entry point was pinned on): the exception still surfaces on the caller,
+// and the pool survives for reuse after the throw.
+TEST(ParallelForChunked, RethrowsFirstException) {
+  ThreadPool pool(4);
+  EXPECT_THROW(parallel_for(pool, 256,
+                            [&](std::size_t i) {
+                              if (i == 77) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
+  std::atomic<int> ran{0};
+  parallel_for(pool, 32, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 32);
 }
 
 }  // namespace
