@@ -24,31 +24,43 @@ if(NOT _flash_multi_config)
   endif()
 endif()
 
+# Caches a per-type flag default. project() already caches every
+# CMAKE_<LANG>_FLAGS_<TYPE> of the selected build type, empty for a type
+# CMake does not know, so a plain set(... CACHE ...) would keep that empty
+# value and an explicit -DCMAKE_BUILD_TYPE=Asan would build without any
+# sanitizer. FORCE only an empty value: one the user set still wins.
+function(flash_type_flags var value doc)
+  if("$CACHE{${var}}" STREQUAL "")
+    set(${var} "${value}" CACHE STRING "${doc}" FORCE)
+  endif()
+endfunction()
+
 # Release-with-assertions: optimized but without NDEBUG.
-set(CMAKE_CXX_FLAGS_RELWITHASSERT "-O2 -g"
-    CACHE STRING "C++ flags for RelWithAssert builds")
-set(CMAKE_EXE_LINKER_FLAGS_RELWITHASSERT ""
-    CACHE STRING "Linker flags for RelWithAssert builds")
-set(CMAKE_SHARED_LINKER_FLAGS_RELWITHASSERT ""
-    CACHE STRING "Shared linker flags for RelWithAssert builds")
+flash_type_flags(CMAKE_CXX_FLAGS_RELWITHASSERT "-O2 -g"
+                 "C++ flags for RelWithAssert builds")
+flash_type_flags(CMAKE_EXE_LINKER_FLAGS_RELWITHASSERT ""
+                 "Linker flags for RelWithAssert builds")
+flash_type_flags(CMAKE_SHARED_LINKER_FLAGS_RELWITHASSERT ""
+                 "Shared linker flags for RelWithAssert builds")
 
 # Sanitizer build: ASan + UBSan, frame pointers kept for readable reports.
 set(FLASH_SANITIZE_FLAGS
     "-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer")
-set(CMAKE_CXX_FLAGS_ASAN "${FLASH_SANITIZE_FLAGS}"
-    CACHE STRING "C++ flags for Asan builds")
-set(CMAKE_EXE_LINKER_FLAGS_ASAN "-fsanitize=address,undefined"
-    CACHE STRING "Linker flags for Asan builds")
-set(CMAKE_SHARED_LINKER_FLAGS_ASAN "-fsanitize=address,undefined"
-    CACHE STRING "Shared linker flags for Asan builds")
+flash_type_flags(CMAKE_CXX_FLAGS_ASAN "${FLASH_SANITIZE_FLAGS}"
+                 "C++ flags for Asan builds")
+flash_type_flags(CMAKE_EXE_LINKER_FLAGS_ASAN "-fsanitize=address,undefined"
+                 "Linker flags for Asan builds")
+flash_type_flags(CMAKE_SHARED_LINKER_FLAGS_ASAN "-fsanitize=address,undefined"
+                 "Shared linker flags for Asan builds")
 
 # ThreadSanitizer build: data-race detection for the parallel sweep engine.
-set(CMAKE_CXX_FLAGS_TSAN "-O1 -g -fsanitize=thread -fno-omit-frame-pointer"
-    CACHE STRING "C++ flags for Tsan builds")
-set(CMAKE_EXE_LINKER_FLAGS_TSAN "-fsanitize=thread"
-    CACHE STRING "Linker flags for Tsan builds")
-set(CMAKE_SHARED_LINKER_FLAGS_TSAN "-fsanitize=thread"
-    CACHE STRING "Shared linker flags for Tsan builds")
+flash_type_flags(CMAKE_CXX_FLAGS_TSAN
+                 "-O1 -g -fsanitize=thread -fno-omit-frame-pointer"
+                 "C++ flags for Tsan builds")
+flash_type_flags(CMAKE_EXE_LINKER_FLAGS_TSAN "-fsanitize=thread"
+                 "Linker flags for Tsan builds")
+flash_type_flags(CMAKE_SHARED_LINKER_FLAGS_TSAN "-fsanitize=thread"
+                 "Shared linker flags for Tsan builds")
 
 mark_as_advanced(
   CMAKE_CXX_FLAGS_RELWITHASSERT

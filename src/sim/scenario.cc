@@ -11,44 +11,24 @@
 namespace flash {
 
 // The per-sender stale routing state (see scenario.h). In full-rebuild
-// (oracle) mode `local` is the sender's materialized gossip view and
-// `to_physical` maps each local directed edge to the corresponding
-// ground-truth edge (orientation preserved). In incremental mode the
-// routing surface is the engine's shared full-shape view graph instead
-// and the per-sender state shrinks to an open-edge mask; `graph`/
-// `to_phys`/`phys_map` point at whichever of the two applies. `mirror` is
-// a ledger over the routing graph that is re-synced from the truth before
-// every payment and mirrored back after settlement.
+// (oracle) mode `own` is the sender's materialized gossip view, with its
+// own mirror ledger. In incremental mode the sender routes on the engine's
+// shared full-shape view graph and its shared mirror instead, and the
+// per-sender state shrinks to an open-edge mask. `surface` points at
+// whichever of the two applies.
 struct ScenarioEngine::SenderContext : SenderCacheable {
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
   std::uint64_t view_version = kNever;
-  // Oracle-mode storage (unused by incremental contexts).
-  Graph local;
-  FeeSchedule fees;
-  std::vector<EdgeId> to_physical;
-  // Inverse of to_physical: physical edge -> local edge + 1 (0 = not in
-  // this sender's view). Lets journal replay translate truth changes.
-  std::vector<std::uint32_t> phys_to_local;
-  // Routing surface selectors: &local/&to_physical/&phys_to_local in
-  // oracle mode, the engine's shared view-graph members in incremental.
-  const Graph* graph = nullptr;
-  const std::vector<EdgeId>* to_phys = nullptr;
-  const std::vector<std::uint32_t>* phys_map = nullptr;
+  RoutingSurface own;  // oracle mode only
+  RoutingSurface* surface = nullptr;
   // Incremental mode: per-directed-edge open flags over the shared graph.
   std::vector<unsigned char> open_mask;
   // Set when a cache eviction recycles this slot for a different sender:
   // the mask and router caches belong to someone else, so the next use
   // must rebuild them from the new sender's view — never patch.
   bool recycled = false;
-  std::unique_ptr<NetworkState> mirror;
   std::unique_ptr<Router> router;
-  std::vector<Amount> synced;  // truth balances at the last pre-route sync
-  // Position in the engine's truth journal this mirror has replayed up
-  // to, valid for journal generation `journal_gen` (0 = never synced;
-  // engine generations start at 1, so a fresh context always full-syncs).
-  std::size_t journal_pos = 0;
-  std::uint64_t journal_gen = 0;
   // view_diverged memo, valid for one (truth, view) version pair.
   std::uint64_t div_truth_version = kNever;
   std::uint64_t div_view_version = kNever;
@@ -309,30 +289,15 @@ ScenarioEngine::ScenarioEngine(const Workload& workload, Scheme scheme,
     // masked per sender. Edge ids here are an order-preserving renaming of
     // any compacted per-view graph's ids, which is what makes masked
     // search results identical to the oracle's (see ARCHITECTURE.md).
-    view_graph_ = Graph(g.num_nodes());
-    view_graph_.reserve_channels(sorted_channels_.size());
-    view_to_physical_.reserve(2 * sorted_channels_.size());
+    shared_view_.graph = Graph(g.num_nodes());
+    shared_view_.graph.reserve_channels(sorted_channels_.size());
+    shared_view_.to_physical.reserve(2 * sorted_channels_.size());
     for (std::size_t i = 0; i < sorted_channels_.size(); ++i) {
-      const EdgeId pf = g.channel_forward_edge(sorted_channels_[i]);
-      const auto [u, v] = sorted_pairs_[i];
-      view_graph_.add_channel(u, v);
-      if (g.from(pf) == u) {
-        view_to_physical_.push_back(pf);
-        view_to_physical_.push_back(g.reverse(pf));
-      } else {
-        view_to_physical_.push_back(g.reverse(pf));
-        view_to_physical_.push_back(pf);
-      }
+      add_view_channel(shared_view_, sorted_pairs_[i].first,
+                       sorted_pairs_[i].second, sorted_channels_[i]);
     }
-    view_graph_.finalize();
-    view_fees_ = FeeSchedule(view_graph_);
-    view_phys_to_local_.assign(g.num_edges(), 0);
-    for (std::size_t le = 0; le < view_to_physical_.size(); ++le) {
-      view_fees_.set_policy(static_cast<EdgeId>(le),
-                            workload.fees().policy(view_to_physical_[le]));
-      view_phys_to_local_[view_to_physical_[le]] =
-          static_cast<std::uint32_t>(le) + 1;
-    }
+    shared_view_.graph.finalize();
+    finish_surface(shared_view_);
   }
 
   if (closes_possible_) {
@@ -525,8 +490,10 @@ void ScenarioEngine::attempt_payment(std::size_t tx_index,
     // balances (probing is a network operation), only the topology is
     // stale. A truth-closed channel the view still believes in carries
     // balance 0 — sends over it fail, probes report it dead.
-    sync_context(ctx);
-    r = ctx.router->route(tx, *ctx.mirror);
+    RoutingSurface& surface = *ctx.surface;
+    sync_mirror(surface);
+    NetworkState& mirror = *surface.mirror;
+    r = ctx.router->route(tx, mirror);
     // With the lifecycle active the mirror is armed too: drain its queued
     // settlements into the staging buffers (translating view edges to
     // physical) and abort the mirror holds — net-zero on the mirror, so
@@ -534,26 +501,29 @@ void ScenarioEngine::attempt_payment(std::size_t tx_index,
     // actual locks re-stage hop by hop on the TRUTH in begin_part, where
     // concurrent in-flight escrow the stale view never saw can refuse
     // them.
-    if (htlc_active_ && r.success) stage_htlc_parts(*ctx.mirror, ctx.to_phys);
-    if (ctx.mirror->active_holds() != 0) {
+    if (htlc_active_ && r.success) {
+      stage_htlc_parts(mirror, &surface.to_physical);
+    }
+    if (mirror.active_holds() != 0) {
       throw std::logic_error("scenario: router " + ctx.router->name() +
                              " leaked holds after tx " +
                              std::to_string(tx_index));
     }
     // Mirror the settlement back onto the truth — only the edges the
     // router's holds/commits actually touched (the mirror's change log),
-    // not an O(local_edges) sweep. Channel totals are conserved by
-    // construction (commit credits what hold debited), which the periodic
-    // invariant sweep verifies.
-    const std::vector<EdgeId>& to_phys = *ctx.to_phys;
-    for (const EdgeId le : ctx.mirror->change_log()) {
-      const Amount nb = ctx.mirror->balance(le);
-      if (nb != ctx.synced[le]) {
+    // not an O(local_edges) sweep. The truth has not moved since the sync,
+    // so it still holds the pre-route balance of every edge. Channel totals
+    // are conserved by construction (commit credits what hold debited),
+    // which the periodic invariant sweep verifies.
+    const std::vector<EdgeId>& to_phys = surface.to_physical;
+    for (const EdgeId le : mirror.change_log()) {
+      const Amount nb = mirror.balance(le);
+      if (nb != truth_.balance(to_phys[le])) {
         truth_.mirror_balance(to_phys[le], nb);
         record_truth_change(to_phys[le]);
       }
     }
-    ctx.mirror->clear_change_log();
+    mirror.clear_change_log();
     diverged = view_diverged(ctx, tx.sender);
   }
 
@@ -1190,33 +1160,28 @@ void ScenarioEngine::conclude_htlc(std::size_t tx_index) {
   conclude_attempt(tx_index, attempt, tx, r, false);
 }
 
-void ScenarioEngine::sync_context(SenderContext& ctx) {
-  const std::size_t local_edges = ctx.graph->num_edges();
-  const std::vector<EdgeId>& to_phys = *ctx.to_phys;
-  if (ctx.journal_gen != journal_gen_) {
-    // Full resync: fresh/rebuilt context, rebalance drift, or journal
+void ScenarioEngine::sync_mirror(RoutingSurface& s) {
+  if (s.journal_gen != journal_gen_) {
+    // Full resync: a mirror's first sync, rebalance drift, or journal
     // overflow. O(local_edges), the pre-journal cost of EVERY sync.
-    ctx.synced.resize(local_edges);
-    for (EdgeId e = 0; e < local_edges; ++e) {
-      ctx.synced[e] = truth_.balance(to_phys[e]);
+    ++result_.mirror_full_syncs;
+    balance_buf_.resize(s.to_physical.size());
+    for (std::size_t e = 0; e < balance_buf_.size(); ++e) {
+      balance_buf_[e] = truth_.balance(s.to_physical[e]);
     }
-    ctx.mirror->assign_balances(ctx.synced);
-    ctx.journal_gen = journal_gen_;
-    ctx.journal_pos = truth_journal_.size();
+    s.mirror->assign_balances(balance_buf_);
+    s.journal_gen = journal_gen_;
+    s.journal_pos = truth_journal_.size();
     return;
   }
   // Replay the journal suffix this mirror has not seen. Edges outside the
   // sender's view are skipped; repeats overwrite idempotently. After the
   // loop every local edge equals the truth again: untouched edges were
   // already equal, and every touched edge is in the journal.
-  const std::vector<std::uint32_t>& phys_map = *ctx.phys_map;
-  for (; ctx.journal_pos < truth_journal_.size(); ++ctx.journal_pos) {
-    const EdgeId phys = truth_journal_[ctx.journal_pos];
-    const std::uint32_t le1 = phys_map[phys];
-    if (le1 == 0) continue;
-    const Amount b = truth_.balance(phys);
-    ctx.synced[le1 - 1] = b;
-    ctx.mirror->mirror_balance(le1 - 1, b);
+  for (; s.journal_pos < truth_journal_.size(); ++s.journal_pos) {
+    const EdgeId phys = truth_journal_[s.journal_pos];
+    const std::uint32_t le1 = s.phys_to_local[phys];
+    if (le1 != 0) s.mirror->mirror_balance(le1 - 1, truth_.balance(phys));
   }
 }
 
@@ -1446,22 +1411,22 @@ void ScenarioEngine::handle_rebalance() {
   if (truth_.active_holds() == 0) {
     // Holds-free ledger: the original wholesale rewrite (bit-identical
     // for every pre-existing rebalance config).
-    drift_buf_.resize(g.num_edges());
+    balance_buf_.resize(g.num_edges());
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      drift_buf_[e] = truth_.balance(e);
+      balance_buf_[e] = truth_.balance(e);
     }
     for (std::size_t c = 0; c < g.num_channels(); ++c) {
       if (!open_[c]) continue;
       const EdgeId fe = g.channel_forward_edge(c);
       const EdgeId be = g.reverse(fe);
-      const Amount total = drift_buf_[fe] + drift_buf_[be];
+      const Amount total = balance_buf_[fe] + balance_buf_[be];
       const Amount fwd =
-          drift_buf_[fe] +
-          cfg_.rebalance.strength * (total / 2 - drift_buf_[fe]);
-      drift_buf_[fe] = fwd;
-      drift_buf_[be] = total - fwd;  // conserves the channel total exactly
+          balance_buf_[fe] +
+          cfg_.rebalance.strength * (total / 2 - balance_buf_[fe]);
+      balance_buf_[fe] = fwd;
+      balance_buf_[be] = total - fwd;  // conserves the channel total exactly
     }
-    truth_.assign_balances(drift_buf_);
+    truth_.assign_balances(balance_buf_);
   } else {
     // Funds are locked in flight: a rebalancing operator cannot touch
     // escrowed HTLC outputs, so the sweep skips any channel carrying held
@@ -1569,10 +1534,10 @@ ScenarioEngine::SenderContext& ScenarioEngine::context_for(NodeId sender) {
     if (slot) {
       // Recycled evictee: it belonged to another sender, so force a
       // rebuild — which overwrites every field but keeps the buffer
-      // capacities (graph vectors, edge maps, synced balances). In
-      // incremental mode the router object itself is reusable (a strict
-      // clear + reseed + mask rebuild is equivalent to constructing it
-      // fresh), so only flag it; never patch from another sender's state.
+      // capacities (graph vectors, edge maps, mask). In incremental mode
+      // the router object itself is reusable (a strict clear + reseed +
+      // mask rebuild is equivalent to constructing it fresh), so only flag
+      // it; never patch from another sender's state.
       if (incremental_) {
         static_cast<SenderContext&>(*slot).recycled = true;
       } else {
@@ -1599,13 +1564,13 @@ ScenarioEngine::SenderContext& ScenarioEngine::context_for(NodeId sender) {
 
 void ScenarioEngine::rebuild_context(SenderContext& ctx, NodeId sender) {
   ++result_.router_rebuilds;
-  const Graph& pg = workload_->graph();
+  RoutingSurface& s = ctx.own;
   // Old router/mirror reference the old local graph: drop them first.
   ctx.router.reset();
-  ctx.mirror.reset();
+  s.mirror.reset();
 
-  Graph local(pg.num_nodes());
-  ctx.to_physical.clear();
+  s.graph = Graph(workload_->graph().num_nodes());
+  s.to_physical.clear();
   // for_each_open emits channels in ascending normalized-pair order — a
   // subsequence of sorted_pairs_ — so one monotone cursor resolves every
   // view channel to its truth channel with no per-channel hash lookup.
@@ -1618,53 +1583,51 @@ void ScenarioEngine::rebuild_context(SenderContext& ctx, NodeId sender) {
     if (cursor == sorted_pairs_.size() || sorted_pairs_[cursor] != key) {
       return;  // unknown to the truth
     }
-    const EdgeId pf = pg.channel_forward_edge(sorted_channels_[cursor]);
-    local.add_channel(u, v);
-    if (pg.from(pf) == u) {
-      ctx.to_physical.push_back(pf);
-      ctx.to_physical.push_back(pg.reverse(pf));
-    } else {
-      ctx.to_physical.push_back(pg.reverse(pf));
-      ctx.to_physical.push_back(pf);
-    }
+    add_view_channel(s, u, v, sorted_channels_[cursor]);
   });
-  local.finalize();
-  ctx.local = std::move(local);
+  s.graph.finalize();
+  finish_surface(s);
 
-  FeeSchedule fees(ctx.local);
-  for (EdgeId e = 0; e < ctx.local.num_edges(); ++e) {
-    fees.set_policy(e, workload_->fees().policy(ctx.to_physical[e]));
-  }
-  ctx.fees = std::move(fees);
-
-  ctx.mirror = std::make_unique<NetworkState>(ctx.local);
-  // Mirrors route for a timed lifecycle too: queue their settlements so
-  // stage_htlc_parts can re-stage them on the truth instead.
-  if (htlc_active_) ctx.mirror->arm_deferred_settlement();
   // Stale-view routers recompute exhausted table entries: under churn an
   // entry whose every path died must not pin failure until the next view
   // refresh.
   FlashOptions stale_opts = opts_;
   stale_opts.table_recompute_on_exhaustion = true;
-  ctx.router = make_router(scheme_, ctx.local, ctx.fees, elephant_threshold_,
+  ctx.router = make_router(scheme_, s.graph, s.fees, elephant_threshold_,
                            stale_opts, context_router_seed(sender));
   ctx.view_version = gossip_.view_version(sender);
   ctx.div_truth_version = SenderContext::kNever;
   ctx.div_view_version = SenderContext::kNever;
-  // Inverse edge map for journal replay, and a fresh change log on the
-  // new mirror; generation 0 forces the next sync_context to full-sync.
-  ctx.phys_to_local.assign(pg.num_edges(), 0);
-  for (std::size_t le = 0; le < ctx.to_physical.size(); ++le) {
-    ctx.phys_to_local[ctx.to_physical[le]] =
-        static_cast<std::uint32_t>(le) + 1;
-  }
-  ctx.mirror->enable_change_log();
-  ctx.journal_gen = 0;
-  ctx.journal_pos = 0;
-  ctx.graph = &ctx.local;
-  ctx.to_phys = &ctx.to_physical;
-  ctx.phys_map = &ctx.phys_to_local;
+  ctx.surface = &s;
   ctx.recycled = false;
+}
+
+void ScenarioEngine::add_view_channel(RoutingSurface& s, NodeId u, NodeId v,
+                                      std::size_t c) const {
+  const Graph& pg = workload_->graph();
+  const EdgeId pf = pg.channel_forward_edge(c);
+  const bool forward = pg.from(pf) == u;
+  s.graph.add_channel(u, v);
+  s.to_physical.push_back(forward ? pf : pg.reverse(pf));
+  s.to_physical.push_back(forward ? pg.reverse(pf) : pf);
+}
+
+void ScenarioEngine::finish_surface(RoutingSurface& s) const {
+  s.fees = FeeSchedule(s.graph);
+  s.phys_to_local.assign(workload_->graph().num_edges(), 0);
+  for (std::size_t le = 0; le < s.to_physical.size(); ++le) {
+    s.fees.set_policy(static_cast<EdgeId>(le),
+                      workload_->fees().policy(s.to_physical[le]));
+    s.phys_to_local[s.to_physical[le]] = static_cast<std::uint32_t>(le) + 1;
+  }
+  s.mirror = std::make_unique<NetworkState>(s.graph);
+  s.mirror->enable_change_log();
+  // Mirrors route for a timed lifecycle too: queue their settlements so
+  // stage_htlc_parts can re-stage them on the truth instead.
+  if (htlc_active_) s.mirror->arm_deferred_settlement();
+  // Generation 0 forces the next sync_mirror to full-sync.
+  s.journal_gen = 0;
+  s.journal_pos = 0;
 }
 
 std::uint64_t ScenarioEngine::context_router_seed(NodeId sender) const {
@@ -1687,22 +1650,20 @@ void ScenarioEngine::build_incremental_context(SenderContext& ctx,
   // the moral equivalent of the oracle's rebuild_context.
   ++result_.router_rebuilds;
   const Graph& pg = workload_->graph();
-  ctx.graph = &view_graph_;
-  ctx.to_phys = &view_to_physical_;
-  ctx.phys_map = &view_phys_to_local_;
+  const Graph& vg = shared_view_.graph;
+  ctx.surface = &shared_view_;
 
   // The sender's view, as a mask over the shared full-shape graph. Only
   // ever-churned channels can be absent from a view (bootstrap seeds every
   // channel open), so start all-open and walk the churned list.
-  ctx.open_mask.assign(view_graph_.num_edges(), 1);
+  ctx.open_mask.assign(vg.num_edges(), 1);
   const gossip::NodeView& view = gossip_.view(sender);
   for (const std::size_t c : churned_list_) {
     const EdgeId fe = pg.channel_forward_edge(c);
     if (!view.knows_channel(pg.from(fe), pg.to(fe))) {
-      const EdgeId vf =
-          view_graph_.channel_forward_edge(truth_to_view_channel_[c]);
+      const EdgeId vf = vg.channel_forward_edge(truth_to_view_channel_[c]);
       ctx.open_mask[vf] = 0;
-      ctx.open_mask[view_graph_.reverse(vf)] = 0;
+      ctx.open_mask[vg.reverse(vf)] = 0;
     }
   }
 
@@ -1715,30 +1676,21 @@ void ScenarioEngine::build_incremental_context(SenderContext& ctx,
   } else {
     FlashOptions stale_opts = opts_;
     stale_opts.table_recompute_on_exhaustion = true;
-    ctx.router = make_router(scheme_, view_graph_, view_fees_,
+    ctx.router = make_router(scheme_, vg, shared_view_.fees,
                              elephant_threshold_, stale_opts,
                              context_router_seed(sender));
   }
   ctx.router->set_open_mask(ctx.open_mask.data());
-
-  if (!ctx.mirror) {
-    ctx.mirror = std::make_unique<NetworkState>(view_graph_);
-    ctx.mirror->enable_change_log();
-    if (htlc_active_) ctx.mirror->arm_deferred_settlement();
-  } else {
-    ctx.mirror->clear_change_log();
-  }
   ctx.view_version = gossip_.view_version(sender);
   ctx.div_truth_version = SenderContext::kNever;
   ctx.div_view_version = SenderContext::kNever;
-  ctx.journal_gen = 0;
-  ctx.journal_pos = 0;
   ctx.recycled = false;
 }
 
 void ScenarioEngine::patch_context(SenderContext& ctx, NodeId sender) {
   ++result_.router_patches;
   const Graph& pg = workload_->graph();
+  const Graph& vg = shared_view_.graph;
   const gossip::NodeView& view = gossip_.view(sender);
   // Diff the mask against the refreshed view. Only ever-churned channels
   // can have moved; everything else stays open on both sides forever.
@@ -1747,12 +1699,11 @@ void ScenarioEngine::patch_context(SenderContext& ctx, NodeId sender) {
   for (const std::size_t c : churned_list_) {
     const EdgeId fe = pg.channel_forward_edge(c);
     const bool believed_open = view.knows_channel(pg.from(fe), pg.to(fe));
-    const EdgeId vf =
-        view_graph_.channel_forward_edge(truth_to_view_channel_[c]);
+    const EdgeId vf = vg.channel_forward_edge(truth_to_view_channel_[c]);
     if (static_cast<bool>(ctx.open_mask[vf]) == believed_open) continue;
     const unsigned char bit = believed_open ? 1 : 0;
     ctx.open_mask[vf] = bit;
-    ctx.open_mask[view_graph_.reverse(vf)] = bit;
+    ctx.open_mask[vg.reverse(vf)] = bit;
     (believed_open ? reopened_buf_ : closed_buf_).push_back(vf);
   }
   // Even an empty delta (a newer-sequence announcement that restated the

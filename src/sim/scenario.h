@@ -42,7 +42,9 @@
 //     (ScenarioConfig::max_sender_routers = K): O(network x K), not
 //     O(network x senders). K = 0 keeps the original unbounded behavior.
 //   - Mirror ledgers resync from the truth via change journals (O(edges
-//     actually touched) per payment) instead of full O(network) sweeps.
+//     actually touched) per payment) instead of full O(network) sweeps;
+//     incremental senders share one mirror, so a journal entry is replayed
+//     once and a new journal generation costs one full resync, not K.
 #pragma once
 
 #include <chrono>
@@ -290,6 +292,9 @@ struct ScenarioResult {
   /// only first builds and cache-evicted returns count here; view changes
   /// on live contexts land in router_patches instead.
   std::size_t router_rebuilds = 0;
+  /// O(edges) mirror-ledger resyncs from the truth: one per journal
+  /// generation for the shared incremental mirror, one per oracle rebuild.
+  std::size_t mirror_full_syncs = 0;
   /// Incremental O(delta) view patches applied to live sender contexts
   /// (mask update + router delta) in place of full rebuilds.
   std::size_t router_patches = 0;
@@ -431,11 +436,24 @@ class ScenarioEngine {
   ScenarioResult run();
 
  private:
-  // The per-sender stale routing state: the sender's materialized view
-  // graph, the fee schedule and router over it, a mirror ledger synced
-  // from the truth before every payment, and the view-edge -> truth-edge
-  // map used to mirror settlement back. Heap-allocated so the Graph (and
-  // everything pointing into it) has a stable address.
+  // What a stale-view router routes on: a graph, its fees, the maps
+  // between its edges and the truth's, and a mirror ledger over it. The
+  // mirror is synced from the truth before every payment (sync_mirror) by
+  // replaying the truth journal from `journal_pos`, valid for generation
+  // `journal_gen` (0 = never synced; engine generations start at 1).
+  struct RoutingSurface {
+    Graph graph;
+    FeeSchedule fees;
+    std::vector<EdgeId> to_physical;           // edge -> truth edge
+    std::vector<std::uint32_t> phys_to_local;  // truth edge -> edge + 1
+    std::unique_ptr<NetworkState> mirror;
+    std::size_t journal_pos = 0;
+    std::uint64_t journal_gen = 0;
+  };
+
+  // The per-sender stale routing state: the sender's router, the surface
+  // it routes on, and (incremental mode) its open-edge mask.
+  // Heap-allocated so everything pointing into it has a stable address.
   struct SenderContext;
 
   /// Delegation target of both public constructors: a non-null
@@ -598,10 +616,17 @@ class ScenarioEngine {
   void flush_gossip_or_schedule_hop();
   SenderContext& context_for(NodeId sender);
   void rebuild_context(SenderContext& ctx, NodeId sender);
+  /// Appends truth channel `c` to `s` as view channel (u, v), mapping each
+  /// direction to the truth edge of the same orientation.
+  void add_view_channel(RoutingSurface& s, NodeId u, NodeId v,
+                        std::size_t c) const;
+  /// Derives what is keyed by a finalized `s.graph`'s edges from
+  /// `s.to_physical`: fees, the inverse map, and a fresh, unsynced mirror.
+  void finish_surface(RoutingSurface& s) const;
   void build_incremental_context(SenderContext& ctx, NodeId sender);
   void patch_context(SenderContext& ctx, NodeId sender);
   std::uint64_t context_router_seed(NodeId sender) const;
-  void sync_context(SenderContext& ctx);
+  void sync_mirror(RoutingSurface& s);
   void record_truth_change(EdgeId physical_edge);
   bool view_diverged(SenderContext& ctx, NodeId sender);
   void check_invariants_if_due();
@@ -639,11 +664,13 @@ class ScenarioEngine {
   Rng dyn_rng_;
 
   // Truth-ledger change journal: every post-pristine balance write to the
-  // truth (mirror-backs, closes, reopens) appends the edge here, so sender
-  // mirrors resync by replaying only the suffix they have not seen
-  // (SenderContext::journal_pos). A full rewrite (rebalance drift) or a
+  // truth (mirror-backs, closes, reopens) appends the edge here, so mirror
+  // ledgers resync by replaying only the suffix they have not seen
+  // (RoutingSurface::journal_pos). A full rewrite (rebalance drift) or a
   // journal grown past ~4x the edge count bumps the generation instead,
-  // forcing affected mirrors through one full resync.
+  // forcing each mirror through one full resync. Incremental senders share
+  // one mirror, so an entry is replayed once; oracle contexts each own one
+  // (their compacted graphs differ) and replay the journal separately.
   std::vector<EdgeId> truth_journal_;
   std::uint64_t journal_gen_ = 1;
   // Channels that ever churned — the only ones a view can disagree with
@@ -655,14 +682,12 @@ class ScenarioEngine {
   // scheme's router supports masking): every sender's view is a subset of
   // the truth channel set, so all senders share ONE immutable full-shape
   // "view graph" (every truth channel, added in the sorted (u, v) order
-  // for_each_open emits) with per-sender open-edge masks. The fee schedule
-  // and the view-edge <-> truth-edge maps are identical across senders and
-  // shared too; per-sender state shrinks to mask + mirror + router.
+  // for_each_open emits) with per-sender open-edge masks. Its fees, edge
+  // maps and mirror are identical across senders (after a sync every
+  // mirror would hold the truth's balances), so the whole surface is
+  // shared; per-sender state shrinks to mask + router.
   bool incremental_ = false;
-  Graph view_graph_;
-  FeeSchedule view_fees_;
-  std::vector<EdgeId> view_to_physical_;          // view edge -> truth edge
-  std::vector<std::uint32_t> view_phys_to_local_; // truth edge -> view edge+1
+  RoutingSurface shared_view_;
   std::vector<std::size_t> truth_to_view_channel_;
   std::vector<EdgeId> closed_buf_, reopened_buf_; // patch delta scratch
 
@@ -676,7 +701,7 @@ class ScenarioEngine {
   std::size_t outstanding_ = 0;  // payments not yet settled/failed
   std::size_t completed_ = 0;    // drives the invariant stride
   double now_ = 0;
-  std::vector<Amount> drift_buf_;
+  std::vector<Amount> balance_buf_;  // rebalance / full-resync scratch
   ScenarioResult result_;
   bool ran_ = false;
 

@@ -184,8 +184,9 @@ ScenarioResult run_mode(const Workload& w, const FuzzKnobs& k,
 
 /// Every field the two maintenance modes must agree on. The maintenance
 /// telemetry itself (router_rebuilds / router_patches /
-/// entries_invalidated) is excluded by design: replacing rebuilds with
-/// patches is the whole point.
+/// entries_invalidated / mirror_full_syncs) is excluded by design:
+/// replacing rebuilds with patches and private mirrors with the shared one
+/// is the whole point.
 void expect_results_identical(const ScenarioResult& oracle,
                               const ScenarioResult& got) {
   expect_identical(oracle.sim, got.sim);

@@ -337,6 +337,41 @@ TEST(Scenario, RebuildCountPinnedAcrossViewMappingRefactor) {
   EXPECT_EQ(got.router_patches, 0u);  // oracle mode never patches
 }
 
+TEST(Scenario, SharedMirrorFullSyncsOncePerJournalGeneration) {
+  // Incremental senders share one mirror ledger, so building or recycling
+  // a sender context must not resync it: only a new truth-journal
+  // generation does (the first sync, each rebalance, a journal overflow).
+  // A one-slot-short cache over many senders evicts constantly, and each
+  // eviction used to full-sync a private mirror on the sender's return.
+  const Workload w = make_toy_workload(400, 300, 21);
+  SimConfig sim;
+  sim.capacity_scale = 2.0;
+  FlashOptions opts;
+  opts.max_route_hops = 6;
+  ScenarioConfig cfg;
+  cfg.retry.max_retries = 1;
+  cfg.churn.close_rate = 0.05;
+  cfg.churn.mean_downtime = 40;
+  cfg.gossip.hop_delay = 3;
+  cfg.rebalance.interval = 100;
+  cfg.max_sender_routers = 2;
+  const ScenarioResult got =
+      run_scenario(w, Scheme::kShortestPath, opts, sim, cfg, 3);
+  // The journal cannot overflow here: a shortest-path payment settles one
+  // path of at most max_route_hops hops (two journaled edges per hop), a
+  // close or reopen journals 2, and the sum stays under the 4 x edges
+  // overflow bound. So the run has exactly 1 + rebalance_events journal
+  // generations.
+  ASSERT_LT(2 * opts.max_route_hops * got.sim.successes +
+                2 * (got.channels_closed + got.channels_reopened),
+            4 * w.graph().num_edges());
+  EXPECT_GT(got.rebalance_events, 0u);
+  EXPECT_GT(got.router_cache_evictions, 20u);  // the cap must bite
+  EXPECT_GT(got.router_rebuilds, 10 * (got.rebalance_events + 1));
+  EXPECT_GT(got.mirror_full_syncs, 0u);
+  EXPECT_LE(got.mirror_full_syncs, got.rebalance_events + 1);
+}
+
 // Wall-clock service latency. The suite names predate the removal of the
 // concurrent execution modes and are kept so each test's history stays
 // continuous; both now run the sequential engine, the only payment loop.
