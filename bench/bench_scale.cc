@@ -16,15 +16,17 @@
 // Each cell reports set-up (snapshot -> Workload -> engine construction)
 // as setup_seconds and the timed run as wall_seconds; pay/s is over the
 // run alone.
-// FLASH_BENCH_MAINTENANCE=full|strict|lazy picks the router maintenance
-// mode (default lazy: the O(delta) patch path this bench is sized to show
+// FLASH_BENCH_MAINTENANCE=full|strict picks the router maintenance mode
+// (default strict: the O(delta) patch path this bench is sized to show
 // off; "full" is the pre-incremental O(network)-rebuild baseline for A/B).
+// Any other value exits with status 2 before a topology is built.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,30 +99,20 @@ LightningSnapshot make_snapshot(std::size_t nodes, Rng& rng) {
   return snap;
 }
 
-RouterMaintenance maintenance_mode() {
+/// FLASH_BENCH_MAINTENANCE, or nullopt for a value outside full|strict.
+std::optional<RouterMaintenance> maintenance_mode() {
   const char* env = std::getenv("FLASH_BENCH_MAINTENANCE");
-  const std::string mode = env ? env : "lazy";
+  const std::string mode = env ? env : "strict";
   if (mode == "full") return RouterMaintenance::kFullRebuild;
   if (mode == "strict") return RouterMaintenance::kIncrementalStrict;
-  if (mode != "lazy") {
-    std::fprintf(stderr,
-                 "warning: FLASH_BENCH_MAINTENANCE=%s not in "
-                 "{full,strict,lazy}; using lazy\n",
-                 mode.c_str());
-  }
-  return RouterMaintenance::kIncrementalLazy;
+  return std::nullopt;
 }
 
 const char* maintenance_name(RouterMaintenance m) {
-  switch (m) {
-    case RouterMaintenance::kFullRebuild: return "full";
-    case RouterMaintenance::kIncrementalStrict: return "strict";
-    case RouterMaintenance::kIncrementalLazy: return "lazy";
-  }
-  return "?";
+  return m == RouterMaintenance::kFullRebuild ? "full" : "strict";
 }
 
-ScaleRow run_cell(const ScaleCell& cell) {
+ScaleRow run_cell(const ScaleCell& cell, RouterMaintenance maintenance) {
   const auto setup_start = std::chrono::steady_clock::now();
   Rng rng(1);
   const LightningSnapshot snap = make_snapshot(cell.nodes, rng);
@@ -145,7 +137,7 @@ ScaleRow run_cell(const ScaleCell& cell) {
   scenario.churn.mean_downtime = static_cast<double>(cell.payments) / 5.0;
   scenario.gossip.hop_delay = 3;
   scenario.max_sender_routers = cell.max_routers;
-  scenario.maintenance = maintenance_mode();
+  scenario.maintenance = maintenance;
 
   ScenarioEngine engine(w, stream, Scheme::kShortestPath, opts, sim, scenario,
                         /*seed=*/7);
@@ -175,7 +167,7 @@ ScaleRow run_cell(const ScaleCell& cell) {
 }
 
 void write_json(const std::string& path, const std::vector<ScaleRow>& rows,
-                double wall_seconds) {
+                RouterMaintenance maintenance, double wall_seconds) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "warning: cannot write FLASH_BENCH_JSON=%s\n",
@@ -203,7 +195,7 @@ void write_json(const std::string& path, const std::vector<ScaleRow>& rows,
         << ", \"router_rebuilds\": " << r.result.router_rebuilds
         << ", \"router_patches\": " << r.result.router_patches
         << ", \"entries_invalidated\": " << r.result.entries_invalidated
-        << ", \"maintenance\": \"" << maintenance_name(maintenance_mode())
+        << ", \"maintenance\": \"" << maintenance_name(maintenance)
         << "\""
         << ", \"channels_closed\": " << r.result.channels_closed
         << ", \"peak_rss_kib\": " << r.peak_rss_kib << "}"
@@ -214,6 +206,14 @@ void write_json(const std::string& path, const std::vector<ScaleRow>& rows,
 }
 
 int run() {
+  const std::optional<RouterMaintenance> maintenance = maintenance_mode();
+  if (!maintenance) {
+    std::fprintf(stderr,
+                 "error: FLASH_BENCH_MAINTENANCE=%s; accepted values are "
+                 "full and strict\n",
+                 std::getenv("FLASH_BENCH_MAINTENANCE"));
+    return 2;
+  }
   std::vector<ScaleCell> cells;
   if (smoke_mode()) {
     cells.push_back({"2k", 2000, 3000, 16});
@@ -227,14 +227,14 @@ int run() {
   print_header("bench_scale",
                "streaming payments through Lightning-scale topologies");
   std::printf("router maintenance: %s (FLASH_BENCH_MAINTENANCE)\n",
-              maintenance_name(maintenance_mode()));
+              maintenance_name(*maintenance));
   const auto start = std::chrono::steady_clock::now();
   std::vector<ScaleRow> rows;
   rows.reserve(cells.size());
   for (const ScaleCell& cell : cells) {
     std::printf("-- %s: %zu nodes, %zu payments, K=%zu\n", cell.label,
                 cell.nodes, cell.payments, cell.max_routers);
-    rows.push_back(run_cell(cell));
+    rows.push_back(run_cell(cell, *maintenance));
   }
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
@@ -262,7 +262,7 @@ int run() {
         "K=" + std::to_string(cells.back().max_routers) + " live routers");
 
   const char* path = std::getenv("FLASH_BENCH_JSON");
-  if (path && *path) write_json(path, rows, elapsed.count());
+  if (path && *path) write_json(path, rows, *maintenance, elapsed.count());
   return 0;
 }
 

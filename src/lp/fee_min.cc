@@ -9,25 +9,12 @@ namespace flash {
 
 namespace {
 
-/// Thread-local workspace behind the convenience/legacy overloads. The
+/// Thread-local workspace behind the convenience overloads. The
 /// split strategies take no user callbacks, so no re-entrancy lease is
 /// needed (unlike the graph wrappers, see graph/scratch.h).
 SplitWorkspace& internal_split_workspace() {
   thread_local SplitWorkspace ws;
   return ws;
-}
-
-/// Stages a legacy map through a ProbedCapacities in the map's iteration
-/// order, so the emitted constraint order — and therefore the selected
-/// optimal vertex — matches the historical map-based formulation exactly.
-/// Keys outside [0, num_edges) cannot belong to any path on g and are
-/// dropped (the legacy code carried them as dead constraints).
-void stage_capacity_map(const Graph& g, const CapacityMap& cap,
-                        ProbedCapacities& out) {
-  out.reset(g.num_edges());
-  for (const auto& [e, c] : cap) {
-    if (e < g.num_edges() && !out.contains(e)) out.insert(e, c);
-  }
 }
 
 }  // namespace
@@ -175,26 +162,6 @@ SplitResult sequential_split(const Graph& g, const std::vector<Path>& paths,
   SplitResult result;
   sequential_split_core(g, paths, demand, cap, fees,
                         internal_split_workspace(), result);
-  return result;
-}
-
-SplitResult optimize_fee_split(const Graph& g, const std::vector<Path>& paths,
-                               Amount demand, const CapacityMap& cap,
-                               const FeeSchedule& fees) {
-  SplitWorkspace& ws = internal_split_workspace();
-  stage_capacity_map(g, cap, ws.cap_buf);
-  SplitResult result;
-  optimize_fee_split_core(g, paths, demand, ws.cap_buf, fees, ws, result);
-  return result;
-}
-
-SplitResult sequential_split(const Graph& g, const std::vector<Path>& paths,
-                             Amount demand, const CapacityMap& cap,
-                             const FeeSchedule& fees) {
-  SplitWorkspace& ws = internal_split_workspace();
-  stage_capacity_map(g, cap, ws.cap_buf);
-  SplitResult result;
-  sequential_split_core(g, paths, demand, ws.cap_buf, fees, ws, result);
   return result;
 }
 

@@ -15,13 +15,10 @@
 // iterated in is part of the result's determinism contract. ProbedCapacities
 // iterates in *insertion order* (for Algorithm 1: the order edges were
 // first probed), which is canonical and portable — the same on every
-// standard library. The legacy CapacityMap (std::unordered_map) overloads
-// remain for callers holding a map; they emit constraints in that map's
-// hash-iteration order, which is libstdc++-specific.
+// standard library.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -79,10 +76,6 @@ class ProbedCapacities {
   std::size_t num_edges_ = 0;
 };
 
-/// Legacy capacity-matrix type; superseded by ProbedCapacities (whose
-/// iteration order is portable). Kept for callers that assemble C by hand.
-using CapacityMap = std::unordered_map<EdgeId, Amount>;
-
 struct SplitResult {
   bool feasible = false;
   std::vector<Amount> amounts;  // per path, aligned with `paths`
@@ -91,9 +84,9 @@ struct SplitResult {
 
 /// Reusable workspace for the split strategies: the LP workspace, the
 /// sparse edge -> (path, sign) incidence index optimize_fee_split builds
-/// per call, residuals for the sequential fill, and a staging buffer for
-/// the legacy map-based overloads. Same single-owner/thread-affinity
-/// contract as GraphScratch; FlashRouter owns one per router.
+/// per call, and residuals for the sequential fill. Same
+/// single-owner/thread-affinity contract as GraphScratch; FlashRouter owns
+/// one per router.
 struct SplitWorkspace {
   LpWorkspace lp;
 
@@ -108,9 +101,6 @@ struct SplitWorkspace {
   // Sequential-fill residual capacities (epoch-reset per call).
   StampedArray<Amount> residual;
 
-  // Legacy CapacityMap overloads stage the map through this buffer.
-  ProbedCapacities cap_buf;
-
   // route_elephant plumbing: the reused split result and the first-touch
   // channel list for sparse flow netting (see elephant.cc).
   SplitResult split_buf;
@@ -121,7 +111,7 @@ struct SplitWorkspace {
 /// emitting capacity constraints in cap's insertion order. Runs entirely
 /// in `ws` (zero steady-state allocations); the result lands in `out`
 /// (buffers reused). Edges appearing in `paths` but missing from `cap`
-/// are unconstrained, exactly as in the legacy map-based formulation.
+/// are unconstrained.
 /// Precondition: paths are channel-simple (no path uses a directed edge
 /// or its reverse more than once) — true for every path Algorithm 1 or
 /// Yen produces.
@@ -146,15 +136,6 @@ SplitResult optimize_fee_split(const Graph& g, const std::vector<Path>& paths,
                                const FeeSchedule& fees);
 SplitResult sequential_split(const Graph& g, const std::vector<Path>& paths,
                              Amount demand, const ProbedCapacities& cap,
-                             const FeeSchedule& fees);
-
-/// Legacy overloads: constraint order is the map's (stdlib-specific)
-/// iteration order, matching the historical behavior bit-for-bit.
-SplitResult optimize_fee_split(const Graph& g, const std::vector<Path>& paths,
-                               Amount demand, const CapacityMap& cap,
-                               const FeeSchedule& fees);
-SplitResult sequential_split(const Graph& g, const std::vector<Path>& paths,
-                             Amount demand, const CapacityMap& cap,
                              const FeeSchedule& fees);
 
 /// Fee charged for a split (shared by both strategies and the tests).

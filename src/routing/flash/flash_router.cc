@@ -37,20 +37,4 @@ RouteResult FlashRouter::route(const Transaction& tx, NetworkState& state) {
   return r;
 }
 
-std::size_t FlashRouter::apply_topology_delta(std::span<const EdgeId> closed,
-                                              std::span<const EdgeId> reopened,
-                                              bool strict) {
-  (void)reopened;  // lazy mode keeps entries stale-but-usable on reopen
-  if (strict) {
-    const std::size_t n = table_.size();
-    table_.clear();
-    return n;
-  }
-  // Elephant probing is stateless per payment (it re-runs the residual BFS
-  // against the masked graph every time), so only the mice table holds
-  // state to patch — and only closes can make a cached path invalid.
-  if (closed.empty()) return 0;
-  return table_.invalidate_closed_paths();
-}
-
 }  // namespace flash

@@ -74,7 +74,13 @@ class FlashRouter : public Router {
   RouteResult route(const Transaction& tx, NetworkState& state) override;
   std::string name() const override { return "Flash"; }
   /// Drops all cached routing-table paths (recomputed on next lookup).
-  void on_topology_update() override { table_.clear(); }
+  /// Elephant probing keeps no state across payments, so the mice table
+  /// is the only cache.
+  std::size_t on_topology_update() override {
+    const std::size_t n = table_.size();
+    table_.clear();
+    return n;
+  }
 
   bool supports_incremental_maintenance() const override { return true; }
   /// Masks both pipelines: the mice table's Yen weights closed edges out,
@@ -83,9 +89,6 @@ class FlashRouter : public Router {
     open_mask_ = mask;
     table_.set_open_mask(mask);
   }
-  std::size_t apply_topology_delta(std::span<const EdgeId> closed,
-                                   std::span<const EdgeId> reopened,
-                                   bool strict) override;
   /// Mirrors make_router's FlashConfig::seed derivation (sim/experiment.cc)
   /// so reseeding equals constructing afresh with the same seed.
   void reseed(std::uint64_t seed) override {

@@ -95,42 +95,6 @@ bool MiceRoutingTable::replace_dead_path(NodeId sender, NodeId receiver,
 
 void MiceRoutingTable::clear() { entries_.clear(); }
 
-std::size_t MiceRoutingTable::invalidate_closed_paths() {
-  // Affected-set rule: an entry dies iff any path it could ever serve —
-  // active paths and the unconsumed spare tail (replace_dead_path may
-  // activate those later) — crosses a closed edge. One O(path length) mask
-  // scan per cached path, no per-close graph work.
-  const unsigned char* mask = open_mask_;
-  auto path_closed = [mask](const Path& p) {
-    for (const EdgeId e : p) {
-      if (!mask[e]) return true;
-    }
-    return false;
-  };
-  std::size_t dropped = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const Entry& entry = it->second;
-    bool dead = false;
-    for (const Path& p : entry.active) {
-      if (path_closed(p)) {
-        dead = true;
-        break;
-      }
-    }
-    for (std::size_t i = entry.next_spare; !dead && i < entry.spares.size();
-         ++i) {
-      dead = path_closed(entry.spares[i]);
-    }
-    if (dead) {
-      it = entries_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
-}
-
 void MiceRoutingTable::evict_stale() {
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (clock_ - it->second.last_used > config_.entry_timeout) {

@@ -74,13 +74,6 @@ class MiceRoutingTable {
   /// use open channels. Borrowed; caller keeps it alive and current.
   void set_open_mask(const unsigned char* mask) noexcept { open_mask_ = mask; }
 
-  /// Drops every entry holding a cached path (active or unconsumed spare)
-  /// that traverses a masked-closed edge — the affected set of a channel
-  /// close. Entries whose paths all stay open survive untouched; affected
-  /// pairs re-Yen lazily on their next lookup. Returns entries dropped.
-  /// Precondition: an open mask is installed.
-  std::size_t invalidate_closed_paths();
-
   std::size_t size() const noexcept { return entries_.size(); }
 
   /// Total Yen invocations (path computations), an overhead metric.

@@ -6,8 +6,8 @@
 // through NetworkState's probing interface, which meters probe messages.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "ledger/network_state.h"
@@ -45,8 +45,8 @@ class Router {
 
   /// Invalidates any cached paths/coordinates after a topology change
   /// (the paper's routing tables are refreshed when the gossiped topology
-  /// updates, §3.3).
-  virtual void on_topology_update() {}
+  /// updates, §3.3). Returns the number of cache entries dropped.
+  virtual std::size_t on_topology_update() { return 0; }
 
   // --- Incremental maintenance (scenario engine; see sim/scenario.h) ---
   //
@@ -55,10 +55,12 @@ class Router {
   // means directed edge e is currently traversable. Search cores skip
   // masked edges, so the router behaves exactly as if built over the
   // subgraph of open channels, without ever rebuilding the CSR. On a view
-  // change the owner updates the mask and calls apply_topology_delta with
-  // the flipped channels instead of reconstructing the router.
+  // change the owner updates the mask in place and calls
+  // on_topology_update instead of reconstructing the router: dropping
+  // every cached entry over the patched mask leaves the router
+  // bit-identical to a freshly built one.
 
-  /// Whether this router honors set_open_mask/apply_topology_delta.
+  /// Whether this router honors set_open_mask.
   /// Routers that return false (e.g. SpeedyMurmurs, whose embeddings are
   /// baked from the raw adjacency) must be fully rebuilt on view changes.
   virtual bool supports_incremental_maintenance() const { return false; }
@@ -66,20 +68,6 @@ class Router {
   /// Installs (or clears, with nullptr) the per-directed-edge open mask.
   /// Borrowed: the caller keeps it alive and in sync with the topology.
   virtual void set_open_mask(const unsigned char* /*mask*/) {}
-
-  /// Reacts to a mask delta. `closed`/`reopened` hold the forward edge ids
-  /// of channels that flipped since the last call (the mask is already
-  /// updated). `strict` drops every cached entry — bit-identical to a
-  /// freshly built router; otherwise only entries whose cached paths
-  /// traverse a now-closed edge are dropped (Ramalingam-Reps-style
-  /// affected set) and reopens leave entries stale-but-usable. Returns the
-  /// number of invalidated cache entries.
-  virtual std::size_t apply_topology_delta(std::span<const EdgeId> /*closed*/,
-                                           std::span<const EdgeId> /*reopened*/,
-                                           bool /*strict*/) {
-    on_topology_update();
-    return 0;
-  }
 
   /// Re-derives the router's internal randomness exactly as constructing
   /// it through make_router(..., seed) would. No-op for deterministic

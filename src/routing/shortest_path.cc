@@ -30,35 +30,6 @@ const Path& ShortestPathRouter::shortest_path(NodeId s, NodeId t) {
   return it->second;
 }
 
-std::size_t ShortestPathRouter::apply_topology_delta(
-    std::span<const EdgeId> closed, std::span<const EdgeId> reopened,
-    bool strict) {
-  (void)reopened;
-  if (strict) {
-    const std::size_t n = cache_.size();
-    cache_.clear();
-    return n;
-  }
-  if (closed.empty()) return 0;
-  std::size_t dropped = 0;
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    bool dead = false;
-    for (const EdgeId e : it->second) {
-      if (!open_mask_[e]) {
-        dead = true;
-        break;
-      }
-    }
-    if (dead) {
-      it = cache_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
-}
-
 RouteResult ShortestPathRouter::route(const Transaction& tx,
                                       NetworkState& state) {
   RouteResult result;

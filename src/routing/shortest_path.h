@@ -23,18 +23,14 @@ class ShortestPathRouter : public Router {
 
   RouteResult route(const Transaction& tx, NetworkState& state) override;
   std::string name() const override { return "SP"; }
-  void on_topology_update() override { cache_.clear(); }
+  std::size_t on_topology_update() override {
+    const std::size_t n = cache_.size();
+    cache_.clear();
+    return n;
+  }
 
   bool supports_incremental_maintenance() const override { return true; }
   void set_open_mask(const unsigned char* mask) override { open_mask_ = mask; }
-  /// Lazy mode drops only pairs whose cached path crosses a now-closed
-  /// edge; surviving paths are provably what a fresh masked BFS would
-  /// return (FIFO discovery order is stable under deleting non-path
-  /// edges — see docs/ARCHITECTURE.md). Reopens keep entries stale (a
-  /// cached path stays valid; a newly shorter one is not picked up).
-  std::size_t apply_topology_delta(std::span<const EdgeId> closed,
-                                   std::span<const EdgeId> reopened,
-                                   bool strict) override;
 
  private:
   const Graph* graph_;

@@ -35,7 +35,10 @@ class SpeedyMurmursRouter : public Router {
 
   RouteResult route(const Transaction& tx, NetworkState& state) override;
   std::string name() const override { return "SpeedyMurmurs"; }
-  void on_topology_update() override { build_embeddings(); }
+  std::size_t on_topology_update() override {
+    build_embeddings();
+    return 0;
+  }
 
   /// Tree distance between two nodes in embedding `tree` (hops up to the
   /// lowest common ancestor and back down). Exposed for tests.

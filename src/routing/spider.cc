@@ -36,38 +36,6 @@ const std::vector<Path>& SpiderRouter::paths_for(NodeId s, NodeId t) {
   return it->second;
 }
 
-std::size_t SpiderRouter::apply_topology_delta(std::span<const EdgeId> closed,
-                                               std::span<const EdgeId> reopened,
-                                               bool strict) {
-  (void)reopened;
-  if (strict) {
-    const std::size_t n = cache_.size();
-    cache_.clear();
-    return n;
-  }
-  if (closed.empty()) return 0;
-  std::size_t dropped = 0;
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    bool dead = false;
-    for (const Path& p : it->second) {
-      for (const EdgeId e : p) {
-        if (!open_mask_[e]) {
-          dead = true;
-          break;
-        }
-      }
-      if (dead) break;
-    }
-    if (dead) {
-      it = cache_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
-}
-
 std::vector<Amount> SpiderRouter::waterfill(const std::vector<Amount>& caps,
                                             Amount demand) {
   // Find the water level L such that sum_i max(0, caps[i] - L) = demand;

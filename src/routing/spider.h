@@ -33,17 +33,14 @@ class SpiderRouter : public Router {
 
   RouteResult route(const Transaction& tx, NetworkState& state) override;
   std::string name() const override { return "Spider"; }
-  void on_topology_update() override { cache_.clear(); }
+  std::size_t on_topology_update() override {
+    const std::size_t n = cache_.size();
+    cache_.clear();
+    return n;
+  }
 
   bool supports_incremental_maintenance() const override { return true; }
   void set_open_mask(const unsigned char* mask) override { open_mask_ = mask; }
-  /// Same invalidation rule as ShortestPathRouter, applied to the whole
-  /// edge-disjoint set: a pair is dropped iff any of its cached paths
-  /// crosses a now-closed edge (the greedy BFS sequence is stable under
-  /// deleting edges no cached path uses; see docs/ARCHITECTURE.md).
-  std::size_t apply_topology_delta(std::span<const EdgeId> closed,
-                                   std::span<const EdgeId> reopened,
-                                   bool strict) override;
 
   /// Waterfilling split of `demand` across paths with available capacities
   /// `caps`: repeatedly pours into the path(s) with the most remaining

@@ -1649,29 +1649,16 @@ void ScenarioEngine::build_incremental_context(SenderContext& ctx,
   // path (first use of a sender, or a slot recycled from another sender),
   // the moral equivalent of the oracle's rebuild_context.
   ++result_.router_rebuilds;
-  const Graph& pg = workload_->graph();
   const Graph& vg = shared_view_.graph;
   ctx.surface = &shared_view_;
-
-  // The sender's view, as a mask over the shared full-shape graph. Only
-  // ever-churned channels can be absent from a view (bootstrap seeds every
-  // channel open), so start all-open and walk the churned list.
   ctx.open_mask.assign(vg.num_edges(), 1);
-  const gossip::NodeView& view = gossip_.view(sender);
-  for (const std::size_t c : churned_list_) {
-    const EdgeId fe = pg.channel_forward_edge(c);
-    if (!view.knows_channel(pg.from(fe), pg.to(fe))) {
-      const EdgeId vf = vg.channel_forward_edge(truth_to_view_channel_[c]);
-      ctx.open_mask[vf] = 0;
-      ctx.open_mask[vg.reverse(vf)] = 0;
-    }
-  }
+  sync_view_mask(ctx, sender);
 
   if (ctx.router) {
-    // Recycled slot: a strict clear plus a reseed leaves the router in
+    // Recycled slot: a cache clear plus a reseed leaves the router in
     // exactly the state a fresh construction would produce, minus the
     // allocations.
-    ctx.router->apply_topology_delta({}, {}, /*strict=*/true);
+    ctx.router->on_topology_update();
     ctx.router->reseed(context_router_seed(sender));
   } else {
     FlashOptions stale_opts = opts_;
@@ -1681,38 +1668,34 @@ void ScenarioEngine::build_incremental_context(SenderContext& ctx,
                              context_router_seed(sender));
   }
   ctx.router->set_open_mask(ctx.open_mask.data());
-  ctx.view_version = gossip_.view_version(sender);
-  ctx.div_truth_version = SenderContext::kNever;
-  ctx.div_view_version = SenderContext::kNever;
   ctx.recycled = false;
 }
 
 void ScenarioEngine::patch_context(SenderContext& ctx, NodeId sender) {
   ++result_.router_patches;
+  sync_view_mask(ctx, sender);
+  // Even an unchanged mask (a newer-sequence announcement that restated
+  // the known state) reseeds and clears: the oracle rebuilds on every view
+  // VERSION change, and the patch must trigger exactly when it does.
+  ctx.router->reseed(context_router_seed(sender));
+  result_.entries_invalidated += ctx.router->on_topology_update();
+}
+
+void ScenarioEngine::sync_view_mask(SenderContext& ctx, NodeId sender) {
+  // The sender's view, as a mask over the shared full-shape graph. Only
+  // ever-churned channels can differ from the all-open bootstrap view, so
+  // only they are rewritten.
   const Graph& pg = workload_->graph();
   const Graph& vg = shared_view_.graph;
   const gossip::NodeView& view = gossip_.view(sender);
-  // Diff the mask against the refreshed view. Only ever-churned channels
-  // can have moved; everything else stays open on both sides forever.
-  closed_buf_.clear();
-  reopened_buf_.clear();
   for (const std::size_t c : churned_list_) {
     const EdgeId fe = pg.channel_forward_edge(c);
-    const bool believed_open = view.knows_channel(pg.from(fe), pg.to(fe));
+    const unsigned char bit =
+        view.knows_channel(pg.from(fe), pg.to(fe)) ? 1 : 0;
     const EdgeId vf = vg.channel_forward_edge(truth_to_view_channel_[c]);
-    if (static_cast<bool>(ctx.open_mask[vf]) == believed_open) continue;
-    const unsigned char bit = believed_open ? 1 : 0;
     ctx.open_mask[vf] = bit;
     ctx.open_mask[vg.reverse(vf)] = bit;
-    (believed_open ? reopened_buf_ : closed_buf_).push_back(vf);
   }
-  // Even an empty delta (a newer-sequence announcement that restated the
-  // known state) reseeds and applies: the oracle rebuilds on every view
-  // VERSION change, and strict mode must trigger exactly when it does.
-  ctx.router->reseed(context_router_seed(sender));
-  result_.entries_invalidated += ctx.router->apply_topology_delta(
-      closed_buf_, reopened_buf_,
-      cfg_.maintenance == RouterMaintenance::kIncrementalStrict);
   ctx.view_version = gossip_.view_version(sender);
   ctx.div_truth_version = SenderContext::kNever;
   ctx.div_view_version = SenderContext::kNever;

@@ -238,13 +238,6 @@ enum class RouterMaintenance : std::uint8_t {
   /// graph equals search over the compacted open subgraph; see
   /// docs/ARCHITECTURE.md "Incremental router maintenance"). The default.
   kIncrementalStrict,
-  /// Patch the mask AND keep router caches, dropping only entries whose
-  /// cached paths cross a closed channel; reopens leave entries
-  /// stale-but-usable. Cheapest. Identical to the oracle for SP/Spider
-  /// under closes-only churn; deterministic but not path-identical for
-  /// Flash (dijkstra heap tie-breaks may differ from a fresh table — the
-  /// PR 6-style documented caveat).
-  kIncrementalLazy,
 };
 
 /// Everything dynamic about a scenario. The default-constructed config has
@@ -298,8 +291,8 @@ struct ScenarioResult {
   /// Incremental O(delta) view patches applied to live sender contexts
   /// (mask update + router delta) in place of full rebuilds.
   std::size_t router_patches = 0;
-  /// Router cache entries dropped by those patches (affected-set
-  /// invalidation in lazy mode; whole-cache clears in strict mode).
+  /// Router cache entries dropped by those patches: each patch clears the
+  /// sender router's whole cache (Router::on_topology_update's count).
   std::size_t entries_invalidated = 0;
   /// Order-sensitive fold of every settled payment's outcome (success,
   /// amount delivered, fee, probe counts, attempt, settle time) in completion
@@ -625,6 +618,9 @@ class ScenarioEngine {
   void finish_surface(RoutingSurface& s) const;
   void build_incremental_context(SenderContext& ctx, NodeId sender);
   void patch_context(SenderContext& ctx, NodeId sender);
+  /// Rewrites `ctx.open_mask`'s ever-churned channels from the sender's
+  /// current view and stamps the context with that view version.
+  void sync_view_mask(SenderContext& ctx, NodeId sender);
   std::uint64_t context_router_seed(NodeId sender) const;
   void sync_mirror(RoutingSurface& s);
   void record_truth_change(EdgeId physical_edge);
@@ -689,7 +685,6 @@ class ScenarioEngine {
   bool incremental_ = false;
   RoutingSurface shared_view_;
   std::vector<std::size_t> truth_to_view_channel_;
-  std::vector<EdgeId> closed_buf_, reopened_buf_; // patch delta scratch
 
   SenderRouterCache contexts_;
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;

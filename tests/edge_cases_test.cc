@@ -186,7 +186,8 @@ TEST(ShortestPathEdge, CacheSurvivesTopologyRefresh) {
   set_channel(s, g, 1, 100, 0);
   ShortestPathRouter router(g, fees);
   EXPECT_TRUE(router.route(tx(0, 2, 1), s).success);
-  router.on_topology_update();
+  EXPECT_EQ(router.on_topology_update(), 1u);  // the one cached pair
+  EXPECT_EQ(router.on_topology_update(), 0u);  // nothing left to drop
   EXPECT_TRUE(router.route(tx(0, 2, 1), s).success);
 }
 

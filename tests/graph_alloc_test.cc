@@ -28,8 +28,6 @@
 #include "ledger/fee_policy.h"
 #include "lp/fee_min.h"
 #include "routing/flash/elephant.h"
-#include "routing/flash/flash_router.h"
-#include "routing/shortest_path.h"
 #include "testutil.h"
 #include "util/rng.h"
 
@@ -273,95 +271,6 @@ TEST(AllocationFree, RouteElephantSequentialFallbackPath) {
     const RouteResult r = route_elephant(f.g, tx, f.state, f.fees, config,
                                          f.scratch, probe_buf, split_ws);
     EXPECT_TRUE(r.success);
-  });
-}
-
-// --- Incremental maintenance patch path -----------------------------------
-//
-// The scenario engine's steady-state reaction to a gossip view bump is:
-// flip mask bits for the delta, apply_topology_delta on the router, reseed,
-// route. None of that may allocate once warm — otherwise patching would
-// re-introduce the per-view-change heap traffic the incremental mode
-// exists to remove.
-
-TEST(AllocationFree, ShortestPathPatchAndRouteSteadyState) {
-  const Graph& g = test_graph();
-  FeeSchedule fees(g);
-  NetworkState state{g};
-  Rng rng(33);
-  state.assign_lognormal_split(1e6, 1.0, rng);
-
-  ShortestPathRouter router(g, fees);
-  std::vector<unsigned char> mask(g.num_edges(), 1);
-  router.set_open_mask(mask.data());
-
-  // Adjacent endpoints: the cached path is the single direct edge, so any
-  // OTHER channel can churn without touching it — the lazy invalidation
-  // scan must keep the entry and route must stay a cache hit.
-  const NodeId s = 3;
-  const EdgeId direct = g.out_edges(s)[0];
-  const NodeId t = g.to(direct);
-  Transaction tx{s, t, 1.0, 0};
-  const EdgeId churned = (g.channel_of(direct) == 0)
-                             ? g.channel_forward_edge(1)
-                             : g.channel_forward_edge(0);
-  const EdgeId delta[] = {churned};
-
-  expect_steady_state_alloc_free("SP view bump -> patch -> route", [&] {
-    mask[churned] = 0;
-    mask[g.reverse(churned)] = 0;
-    router.apply_topology_delta(delta, {}, /*strict=*/false);
-    mask[churned] = 1;
-    mask[g.reverse(churned)] = 1;
-    router.apply_topology_delta({}, delta, /*strict=*/false);
-    router.reseed(42);
-    router.route(tx, state);
-  });
-}
-
-TEST(AllocationFree, FlashMicePatchAndRouteSteadyState) {
-  // The same cycle through FlashRouter's mice table: lazy invalidation
-  // scans the Yen entries (the churned channel is on none of the cached
-  // paths), the lookup stays a hit, and the masked send pipeline reuses
-  // its scratch.
-  const Graph& g = test_graph();
-  NetworkState state{g};
-  Rng rng(27);
-  state.assign_lognormal_split(1e6, 1.0, rng);
-  const FeeSchedule fees = FeeSchedule::paper_default(g, rng);
-
-  FlashConfig config;
-  config.elephant_threshold = 1e5;  // everything below is a mouse
-  FlashRouter router(g, fees, config);
-  std::vector<unsigned char> mask(g.num_edges(), 1);
-  router.set_open_mask(mask.data());
-
-  const NodeId s = 3;
-  const EdgeId direct = g.out_edges(s)[0];
-  const NodeId t = g.to(direct);
-  Transaction tx{s, t, 2.0, 0};
-  const EdgeId churned = (g.channel_of(direct) == 0)
-                             ? g.channel_forward_edge(1)
-                             : g.channel_forward_edge(0);
-  const EdgeId delta[] = {churned};
-
-  // Drop the mask bits BEFORE warm-up so the cached Yen paths provably
-  // avoid the churned channel (masked search never admits it); every
-  // steady-state invalidation scan then keeps the entry.
-  mask[churned] = 0;
-  mask[g.reverse(churned)] = 0;
-  router.route(tx, state);
-
-  expect_steady_state_alloc_free("Flash mice view bump -> patch -> route",
-                                 [&] {
-    mask[churned] = 1;
-    mask[g.reverse(churned)] = 1;
-    router.apply_topology_delta({}, delta, /*strict=*/false);
-    mask[churned] = 0;
-    mask[g.reverse(churned)] = 0;
-    router.apply_topology_delta(delta, {}, /*strict=*/false);
-    router.reseed(42);
-    router.route(tx, state);
   });
 }
 

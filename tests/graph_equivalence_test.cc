@@ -12,6 +12,7 @@
 #include <numeric>
 #include <queue>
 #include <set>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -276,6 +277,9 @@ MaxFlowResult ref_edmonds_karp(const Graph& g, NodeId s, NodeId t,
   }
   return result;
 }
+
+/// The pre-refactor capacity-matrix type.
+using CapacityMap = std::unordered_map<EdgeId, Amount>;
 
 /// Pre-refactor elephant probing, with the probed capacity matrix kept as
 /// a plain map plus an explicit first-probe insertion log — the reference

@@ -5,18 +5,12 @@
 // mirror and router from scratch on every view change. The harness drives
 // randomized churn/gossip/payment interleavings (and, in a second corpus,
 // the HTLC lifecycle and fault injection on top) through the incremental
-// engines and pins them against the oracle:
-//
-//   - kIncrementalStrict must be field-for-field identical to the oracle
-//     for EVERY scheme and every knob combination (masked search over the
-//     shared full-shape view graph equals search over the compacted open
-//     subgraph; see docs/ARCHITECTURE.md).
-//   - kIncrementalLazy must be identical to the oracle for the schemes
-//     whose path searches are stable under deleting unused edges (BFS:
-//     ShortestPath, Spider) when churn is closes-only (mean_downtime = 0).
-//   - kIncrementalLazy must always be deterministic: two runs with the
-//     same seed agree on everything (the Flash caveat is "not identical to
-//     a fresh rebuild", never "nondeterministic").
+// engine and pins it against the oracle. kIncrementalStrict must be
+// field-for-field identical to the oracle for EVERY scheme and every knob
+// combination: masked search over the shared full-shape view graph, with
+// every router cache dropped on each view change
+// (Router::on_topology_update), equals search over the compacted open
+// subgraph (see docs/ARCHITECTURE.md).
 //
 // Failures print the scenario seed, the full knob vector, and the minimal
 // payment prefix that still reproduces the divergence (linear shrink over
@@ -230,29 +224,29 @@ bool digests_equal(const ScenarioResult& a, const ScenarioResult& b) {
 /// Linear shrink: the smallest payment-prefix length on which the two
 /// modes already disagree (digest-level). Only runs on failure, so the
 /// O(payments^2) worst case never taxes a green suite.
-std::size_t minimal_failing_prefix(const Workload& w, const FuzzKnobs& k,
-                                   RouterMaintenance mode) {
+std::size_t minimal_failing_prefix(const Workload& w, const FuzzKnobs& k) {
   for (std::size_t n = 1; n <= w.transactions().size(); ++n) {
     if (!digests_equal(run_mode(w, k, RouterMaintenance::kFullRebuild, n),
-                       run_mode(w, k, mode, n))) {
+                       run_mode(w, k, RouterMaintenance::kIncrementalStrict,
+                                n))) {
       return n;
     }
   }
   return w.transactions().size();
 }
 
-/// Returns the checked mode's result, so callers can also assert that the
-/// corpus exercised what it was built to exercise.
-ScenarioResult check_against_oracle(const Workload& w, const FuzzKnobs& k,
-                                    RouterMaintenance mode,
-                                    const char* mode_name) {
+/// Runs kIncrementalStrict against the oracle and returns its result, so
+/// callers can also assert that the corpus exercised what it was built to
+/// exercise.
+ScenarioResult check_against_oracle(const Workload& w, const FuzzKnobs& k) {
   const ScenarioResult oracle = run_mode(w, k, RouterMaintenance::kFullRebuild);
-  ScenarioResult got = run_mode(w, k, mode);
+  ScenarioResult got = run_mode(w, k, RouterMaintenance::kIncrementalStrict);
   if (!digests_equal(oracle, got)) {
-    ADD_FAILURE() << mode_name << " diverged from the full-rebuild oracle\n"
+    ADD_FAILURE() << "kIncrementalStrict diverged from the full-rebuild "
+                     "oracle\n"
                   << "  knobs: " << k.describe() << "\n"
                   << "  minimal failing payment prefix: "
-                  << minimal_failing_prefix(w, k, mode) << " of "
+                  << minimal_failing_prefix(w, k) << " of "
                   << w.transactions().size();
     return got;
   }
@@ -277,8 +271,7 @@ TEST(IncrementalFuzz, StrictMatchesOracleAcrossSeeds) {
     const FuzzKnobs k = knobs_for(i);
     const Workload w =
         make_toy_workload(k.nodes, k.payments, /*seed=*/k.seed & 0xffff);
-    check_against_oracle(w, k, RouterMaintenance::kIncrementalStrict,
-                         "kIncrementalStrict");
+    check_against_oracle(w, k);
     if (HasFatalFailure()) return;
   }
 }
@@ -295,8 +288,7 @@ TEST(IncrementalFuzz, StrictMatchesOracleWithHtlcAndFaults) {
     const FuzzKnobs k = htlc_fault_knobs_for(i);
     const Workload w =
         make_toy_workload(k.nodes, k.payments, /*seed=*/k.seed & 0xffff);
-    const ScenarioResult got = check_against_oracle(
-        w, k, RouterMaintenance::kIncrementalStrict, "kIncrementalStrict");
+    const ScenarioResult got = check_against_oracle(w, k);
     if (HasFatalFailure()) return;
     patches += got.router_patches;
     htlc_payments += got.htlc_payments;
@@ -315,51 +307,8 @@ TEST(IncrementalFuzz, StrictMatchesOracleWithHtlcAndFaults) {
   EXPECT_GT(onchain_hops, 0u);
 }
 
-// Lazy maintenance keeps per-pair path caches across view changes. For
-// BFS-based schemes (ShortestPath, Spider) a cached path that avoids every
-// closed edge is exactly what a fresh search would return (greedy BFS is
-// stable under deleting unused edges), so under closes-only churn lazy
-// must still be field-for-field identical to the oracle.
-TEST(IncrementalFuzz, LazyMatchesOracleForStablePathSchemesClosesOnly) {
-  std::size_t checked = 0;
-  for (std::uint64_t i = 0; checked < 40 && i < 600; ++i) {
-    FuzzKnobs k = knobs_for(i);
-    if (k.scheme != Scheme::kShortestPath && k.scheme != Scheme::kSpider) {
-      continue;
-    }
-    k.mean_downtime = 0;  // closes-only: reopens would leave masked
-                          // survivors the oracle re-finds paths through
-    const Workload w =
-        make_toy_workload(k.nodes, k.payments, /*seed=*/k.seed & 0xffff);
-    check_against_oracle(w, k, RouterMaintenance::kIncrementalLazy,
-                         "kIncrementalLazy");
-    if (HasFatalFailure()) return;
-    ++checked;
-  }
-  EXPECT_EQ(checked, 40u);
-}
-
-// Lazy mode for Flash is NOT pinned path-identical to the oracle (a fresh
-// Yen table may tie-break differently than a selectively-invalidated one —
-// the documented caveat), but it must be perfectly deterministic: same
-// seed, same everything.
-TEST(IncrementalFuzz, LazyIsDeterministicForEveryScheme) {
-  for (std::uint64_t i = 0; i < 48; ++i) {
-    const FuzzKnobs k = knobs_for(i);
-    const Workload w =
-        make_toy_workload(k.nodes, k.payments, /*seed=*/k.seed & 0xffff);
-    const ScenarioResult a = run_mode(w, k, RouterMaintenance::kIncrementalLazy);
-    const ScenarioResult b = run_mode(w, k, RouterMaintenance::kIncrementalLazy);
-    SCOPED_TRACE(k.describe());
-    expect_results_identical(a, b);
-    EXPECT_EQ(a.router_rebuilds, b.router_rebuilds);
-    EXPECT_EQ(a.router_patches, b.router_patches);
-    EXPECT_EQ(a.entries_invalidated, b.entries_invalidated);
-  }
-}
-
-// Incremental modes actually patch: under churn with live contexts, view
-// changes land in router_patches, not router_rebuilds.
+// Incremental maintenance actually patches: under churn with live
+// contexts, view changes land in router_patches, not router_rebuilds.
 TEST(IncrementalFuzz, IncrementalModesReplaceRebuildsWithPatches) {
   FuzzKnobs k = knobs_for(0);
   k.scheme = Scheme::kFlash;

@@ -16,7 +16,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
+#include <unordered_map>
+#include <utility>
 
 #include "graph/topology.h"
 #include "lp/fee_min.h"
@@ -173,12 +176,23 @@ TEST(Simplex, RandomDemandProblemsRespectConstraints) {
 
 // --- Fee minimization ------------------------------------------------------------
 
+/// A probed capacity matrix over g's edges holding `caps` in the given
+/// (insertion) order.
+ProbedCapacities probed(
+    const Graph& g,
+    std::initializer_list<std::pair<EdgeId, Amount>> caps) {
+  ProbedCapacities out;
+  out.reset(g.num_edges());
+  for (const auto& [e, c] : caps) out.insert(e, c);
+  return out;
+}
+
 /// Two-path setup: cheap path (rate 0.01/hop) and expensive (0.05/hop).
 struct TwoPathFixture {
   Graph g = make_graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   FeeSchedule fees{g};
   std::vector<Path> paths;
-  CapacityMap cap;
+  ProbedCapacities cap;
 
   TwoPathFixture() {
     fees.set_policy(fwd(g, 0), {0, 0.01});
@@ -186,7 +200,15 @@ struct TwoPathFixture {
     fees.set_policy(fwd(g, 2), {0, 0.05});
     fees.set_policy(fwd(g, 3), {0, 0.05});
     paths = {{fwd(g, 0), fwd(g, 1)}, {fwd(g, 2), fwd(g, 3)}};
-    cap = {{fwd(g, 0), 60}, {fwd(g, 1), 60}, {fwd(g, 2), 60}, {fwd(g, 3), 60}};
+    set_capacities(60, 60, 60, 60);
+  }
+
+  /// Probes the four forward edges, in channel order, at these capacities.
+  void set_capacities(Amount c0, Amount c1, Amount c2, Amount c3) {
+    cap = probed(g, {{fwd(g, 0), c0},
+                     {fwd(g, 1), c1},
+                     {fwd(g, 2), c2},
+                     {fwd(g, 3), c3}});
   }
 };
 
@@ -218,7 +240,11 @@ TEST(FeeMin, LpNeverWorseThanSequential) {
   for (int trial = 0; trial < 30; ++trial) {
     TwoPathFixture f;
     // Random capacities and rates.
-    for (auto& [e, c] : f.cap) c = rng.uniform(10.0, 80.0);
+    const Amount c0 = rng.uniform(10.0, 80.0);
+    const Amount c1 = rng.uniform(10.0, 80.0);
+    const Amount c2 = rng.uniform(10.0, 80.0);
+    const Amount c3 = rng.uniform(10.0, 80.0);
+    f.set_capacities(c0, c1, c2, c3);
     for (std::size_t ch = 0; ch < f.g.num_channels(); ++ch) {
       const double rate = rng.uniform(0.001, 0.05);
       f.fees.set_policy(fwd(f.g, ch), {0, rate});
@@ -249,10 +275,8 @@ TEST(FeeMin, SharedEdgeConstraintBindsAcrossPaths) {
   FeeSchedule fees(g);
   const Path p1{fwd(g, 0), fwd(g, 1), fwd(g, 2)};  // 0-1-2-3
   const Path p2{fwd(g, 0), fwd(g, 3)};             // 0-1-3
-  CapacityMap cap{{fwd(g, 0), 30},
-                  {fwd(g, 1), 25},
-                  {fwd(g, 2), 25},
-                  {fwd(g, 3), 25}};
+  const ProbedCapacities cap = probed(
+      g, {{fwd(g, 0), 30}, {fwd(g, 1), 25}, {fwd(g, 2), 25}, {fwd(g, 3), 25}});
   const SplitResult ok = optimize_fee_split(g, {p1, p2}, 30, cap, fees);
   ASSERT_TRUE(ok.feasible);
   EXPECT_NEAR(ok.amounts[0] + ok.amounts[1], 30, 1e-6);
@@ -263,8 +287,9 @@ TEST(FeeMin, SharedEdgeConstraintBindsAcrossPaths) {
 TEST(FeeMin, EmptyPathsInfeasible) {
   Graph g = make_graph(2, {{0, 1}});
   FeeSchedule fees(g);
-  EXPECT_FALSE(optimize_fee_split(g, {}, 10, CapacityMap{}, fees).feasible);
-  EXPECT_FALSE(sequential_split(g, {}, 10, CapacityMap{}, fees).feasible);
+  const ProbedCapacities none = probed(g, {});
+  EXPECT_FALSE(optimize_fee_split(g, {}, 10, none, fees).feasible);
+  EXPECT_FALSE(sequential_split(g, {}, 10, none, fees).feasible);
 }
 
 TEST(FeeMin, SplitFeeMatchesSchedule) {
@@ -281,8 +306,9 @@ TEST(FeeMin, SplitFeeMatchesSchedule) {
 
 TEST(FeeMin, SequentialSplitMissingEdgeIsInfeasibleNotThrow) {
   TwoPathFixture f;
-  CapacityMap holey = f.cap;
-  holey.erase(fwd(f.g, 1));  // second edge of the cheap path unprobed
+  // Second edge of the cheap path unprobed.
+  const ProbedCapacities holey = probed(
+      f.g, {{fwd(f.g, 0), 60}, {fwd(f.g, 2), 60}, {fwd(f.g, 3), 60}});
   SplitResult r;
   EXPECT_NO_THROW(r = sequential_split(f.g, f.paths, 50, holey, f.fees));
   EXPECT_FALSE(r.feasible);
@@ -299,7 +325,7 @@ TEST(FeeMin, SequentialSplitMissingEdgeIsInfeasibleNotThrow) {
 TEST(FeeMin, SequentialSplitEmptyCapacityMatrixInfeasible) {
   TwoPathFixture f;
   const SplitResult r =
-      sequential_split(f.g, f.paths, 50, CapacityMap{}, f.fees);
+      sequential_split(f.g, f.paths, 50, probed(f.g, {}), f.fees);
   EXPECT_FALSE(r.feasible);
 }
 
@@ -310,6 +336,9 @@ TEST(FeeMin, SequentialSplitEmptyCapacityMatrixInfeasible) {
 // solver, at solution level for the splits).
 
 namespace legacy {
+
+/// The pre-rewrite capacity-matrix type.
+using CapacityMap = std::unordered_map<EdgeId, Amount>;
 
 constexpr double kEps = 1e-9;
 
@@ -764,7 +793,8 @@ TEST(SplitEquivalence, FigScaleProbesMatchLegacyAtSolutionLevel) {
     if (probe.paths.empty() || probe.max_flow <= 0) continue;
     const Amount demand = 0.9 * probe.max_flow;
 
-    CapacityMap legacy_cap(probe.capacities.begin(), probe.capacities.end());
+    const legacy::CapacityMap legacy_cap(probe.capacities.begin(),
+                                         probe.capacities.end());
     const SplitResult lp_new =
         optimize_fee_split(g, probe.paths, demand, probe.capacities, fees);
     const SplitResult lp_old =
@@ -794,41 +824,14 @@ TEST(SplitEquivalence, FigScaleProbesMatchLegacyAtSolutionLevel) {
   EXPECT_GT(feasible_checked, 10) << "fixture must exercise real splits";
 }
 
-TEST(SplitEquivalence, CapacityMapOverloadMatchesLegacyExactly) {
-  // The legacy CapacityMap overload stages the map in its own iteration
-  // order, so it must reproduce the historical result bit-for-bit — the
-  // same vertex, not just the same objective.
-  Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    TwoPathFixture f;
-    for (auto& [e, c] : f.cap) c = rng.uniform(10.0, 80.0);
-    for (std::size_t ch = 0; ch < f.g.num_channels(); ++ch) {
-      f.fees.set_policy(fwd(f.g, ch), {0, rng.uniform(0.001, 0.05)});
-    }
-    const Amount demand = rng.uniform(5.0, 100.0);
-    const SplitResult got =
-        optimize_fee_split(f.g, f.paths, demand, f.cap, f.fees);
-    const SplitResult want =
-        legacy::optimize_fee_split(f.g, f.paths, demand, f.cap, f.fees);
-    ASSERT_EQ(got.feasible, want.feasible) << "trial " << trial;
-    if (got.feasible) {
-      EXPECT_EQ(got.amounts, want.amounts) << "trial " << trial;
-      EXPECT_EQ(got.total_fee, want.total_fee) << "trial " << trial;
-    }
-  }
-}
-
 TEST(SplitEquivalence, CoreAndConvenienceOverloadAgree) {
   // The ProbedCapacities convenience overload and an explicitly-owned
   // workspace must produce identical results (same canonical order).
   TwoPathFixture f;
-  ProbedCapacities cap;
-  cap.reset(f.g.num_edges());
-  for (std::size_t ch = 0; ch < 4; ++ch) cap.insert(fwd(f.g, ch), 60);
-  const SplitResult a = optimize_fee_split(f.g, f.paths, 100, cap, f.fees);
+  const SplitResult a = optimize_fee_split(f.g, f.paths, 100, f.cap, f.fees);
   SplitWorkspace ws;
   SplitResult b;
-  optimize_fee_split_core(f.g, f.paths, 100, cap, f.fees, ws, b);
+  optimize_fee_split_core(f.g, f.paths, 100, f.cap, f.fees, ws, b);
   ASSERT_TRUE(a.feasible);
   ASSERT_TRUE(b.feasible);
   EXPECT_EQ(a.amounts, b.amounts);

@@ -431,8 +431,9 @@ TEST(FlashRouter, TopologyUpdateClearsTable) {
   FlashRouter router(g, fees, config);
   router.route(tx(0, 2, 1), s);
   EXPECT_EQ(router.routing_table().size(), 1u);
-  router.on_topology_update();
+  EXPECT_EQ(router.on_topology_update(), 1u);  // reports the entries dropped
   EXPECT_EQ(router.routing_table().size(), 0u);
+  EXPECT_EQ(router.on_topology_update(), 0u);
 }
 
 }  // namespace
